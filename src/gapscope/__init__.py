@@ -73,7 +73,6 @@ from .iet import (
 from .numerics import (
     FareyBracket,
     FareyFraction,
-    RealValue,
     SurdExpr,
     dilog,
     farey_fractions,

@@ -87,7 +87,7 @@ def _load_iet(path: str) -> Iet:
         raise click.UsageError(f"invalid IET spec {path!r}: {exc}")
 
 
-def _require_map(alpha, iet_path, precision) -> Iet:
+def _require_map(alpha, iet_path) -> Iet:
     if (alpha is None) == (iet_path is None):
         raise click.UsageError("provide exactly one of --alpha or --iet")
     if alpha is not None:
@@ -168,7 +168,6 @@ PRECISION_OPT = click.option(
     "--precision", type=int, default=None, help="working precision in bits"
 )
 SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
-EPS_OPT = click.option("--eps", type=float, default=None, help="cluster tolerance")
 
 
 @click.group()
@@ -182,14 +181,13 @@ def main():
 @click.option("--iet", "iet_path", default=None, help="IET spec file (JSON)")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--raw", is_flag=True, help="keep duplicated orbit points and zero gaps")
-@EPS_OPT
 @PRECISION_OPT
 @FORMAT_OPT
-def cmd_gaps(alpha, iet_path, n, raw, eps, precision, fmt):
+def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
     """Sorted-orbit gap report with distinct-length clusters."""
-    T = _require_map(alpha, iet_path, precision)
+    T = _require_map(alpha, iet_path)
     try:
-        report = gap_report(T, n, eps=eps, keep_duplicates=raw)
+        report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     data = report.to_json()
@@ -330,14 +328,12 @@ def cmd_limit(z_single, z_grid, fmt):
 @click.option("--iet", "iet_path", default=None, help="IET spec file (JSON)")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--kind", type=click.Choice(["ggaps", "fgaps"]), default="ggaps")
-@EPS_OPT
-@PRECISION_OPT
 @FORMAT_OPT
-def cmd_graph(alpha, iet_path, n, kind, eps, precision, fmt):
+def cmd_graph(alpha, iet_path, n, kind, fmt):
     """Gap digraph or slot forest, as JSON or an edge-list text file."""
-    T = _require_map(alpha, iet_path, precision)
+    T = _require_map(alpha, iet_path)
     try:
-        obj = ggaps_build(T, n, eps=eps) if kind == "ggaps" else fgaps_build(T, n, eps=eps)
+        obj = ggaps_build(T, n) if kind == "ggaps" else fgaps_build(T, n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _emit(obj.to_json(), fmt, text=obj.to_edge_list())
@@ -366,14 +362,12 @@ def verify_three_gap_cmd(alpha, n, eps, precision, fmt):
 @cmd_verify.command("dplus2")
 @click.option("--iet", "iet_path", required=True)
 @click.option("--n", "n", type=int, required=True)
-@EPS_OPT
-@PRECISION_OPT
 @FORMAT_OPT
-def verify_dplus2_cmd(iet_path, n, eps, precision, fmt):
+def verify_dplus2_cmd(iet_path, n, fmt):
     """Distinct-gap-length count vs the d+1 / d+2 and 3(d-1) bounds."""
     T = _load_iet(iet_path)
     try:
-        outcome = verify_dplus2(T, n, eps=eps)
+        outcome = verify_dplus2(T, n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)
@@ -398,14 +392,12 @@ def verify_zipper_cmd(alpha, n, eps, precision, fmt):
 @click.option("--alpha", default=None)
 @click.option("--iet", "iet_path", default=None)
 @click.option("--n", "n", type=int, required=True)
-@EPS_OPT
-@PRECISION_OPT
 @FORMAT_OPT
-def verify_bosh_cmd(alpha, iet_path, n, eps, precision, fmt):
+def verify_bosh_cmd(alpha, iet_path, n, fmt):
     """Distinct vertex weights vs 3(#E - #V) on the gap digraph."""
-    T = _require_map(alpha, iet_path, precision)
+    T = _require_map(alpha, iet_path)
     try:
-        outcome = boshernitzan_bound_check(T, n, eps=eps)
+        outcome = boshernitzan_bound_check(T, n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)
@@ -415,14 +407,12 @@ def verify_bosh_cmd(alpha, iet_path, n, eps, precision, fmt):
 @click.option("--alpha", default=None)
 @click.option("--iet", "iet_path", default=None)
 @click.option("--n", "n", type=int, required=True)
-@EPS_OPT
-@PRECISION_OPT
 @FORMAT_OPT
-def verify_forest_cmd(alpha, iet_path, n, eps, precision, fmt):
+def verify_forest_cmd(alpha, iet_path, n, fmt):
     """Forest-derived distinct lengths vs the gap-report clusters."""
-    T = _require_map(alpha, iet_path, precision)
+    T = _require_map(alpha, iet_path)
     try:
-        outcome = verify_forest_lengths(T, n, eps=eps)
+        outcome = verify_forest_lengths(T, n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DegenerateOrbitError, DomainError
-from .gaps import GapReport, cluster_lengths, gap_report, orbit
+from .gaps import GapReport, cluster_lengths, default_cluster_eps, gap_report, orbit
 from .iet import Iet
 from .outcomes import (
     VerificationOutcome,
@@ -29,14 +29,6 @@ from .outcomes import (
     outcome_not_applicable,
     outcome_pass,
 )
-
-WEIGHT_TOL = 1e-10
-
-
-def _match_tol(N: int) -> float:
-    # endpoint matching tolerance; well above float drift, well below
-    # the smallest gap/slot scale ~ 1/N^2 for the N we handle
-    return 1e-9 / max(N, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +81,15 @@ class _Geometry:
         return [c for c in cuts if left + self.tol < c < right - self.tol]
 
 
-def _geometry(T: Iet, N: int, eps: Optional[float] = None) -> _Geometry:
+def _geometry(T: Iet, N: int) -> _Geometry:
     if N < 2:
         raise DomainError(f"gap graphs need N >= 2, got {N}")
     seg = orbit(T, N)
-    report = gap_report(T, N, eps=eps, points=seg)
+    report = gap_report(T, N, points=seg)
     ghost = T.apply(float(seg[-1]))
     return _Geometry(
-        T=T, N=N, report=report, points=report.points, ghost=ghost, tol=_match_tol(N)
+        T=T, N=N, report=report, points=report.points, ghost=ghost,
+        tol=default_cluster_eps(N),
     )
 
 
@@ -167,18 +160,6 @@ class GapGraph:
             in_w[t] += w
         return outdeg, indeg, out_w, in_w
 
-    def outdegree(self, i: int) -> int:
-        return sum(1 for (s, _t) in self.edges if s == i)
-
-    def indegree(self, j: int) -> int:
-        return sum(1 for (_s, t) in self.edges if t == j)
-
-    def out_weight(self, i: int) -> float:
-        return math.fsum(w for (s, _t), w in self.edges.items() if s == i)
-
-    def in_weight(self, j: int) -> float:
-        return math.fsum(w for (_s, t), w in self.edges.items() if t == j)
-
     def has_distinct_cycle(self) -> bool:
         """A directed cycle every vertex of which has indeg = outdeg = 1.
 
@@ -240,13 +221,13 @@ class GapGraph:
         return "\n".join(lines) + "\n"
 
 
-def ggaps_build(T: Iet, N: int, eps: Optional[float] = None) -> GapGraph:
+def ggaps_build(T: Iet, N: int) -> GapGraph:
     """Build the weighted gap digraph and verify the weight axioms.
 
     Raises :class:`ConsistencyError` when the per-vertex in/out weight
     balance fails beyond tolerance (signals duplicated orbit points).
     """
-    geo = _geometry(T, N, eps=eps)
+    geo = _geometry(T, N)
     M = geo.num_gaps
     inv = T.inverse()
     edges: dict = {}
@@ -282,12 +263,13 @@ def _accumulate_overlaps(geo: _Geometry, source: int, x: float, y: float, edges:
 
 
 def _check_weight_axioms(graph: GapGraph) -> None:
+    tol = default_cluster_eps(graph.n)
     total = math.fsum(graph.weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if abs(total - 1.0) > tol:
         raise ConsistencyError(f"vertex weights sum to {total!r}, not 1")
     _, _, out_w, in_w = graph.degree_table()
     for v, w in enumerate(graph.weights):
-        if abs(out_w[v] - w) > WEIGHT_TOL or abs(in_w[v] - w) > WEIGHT_TOL:
+        if abs(out_w[v] - w) > tol or abs(in_w[v] - w) > tol:
             raise ConsistencyError(
                 f"weight balance failed at vertex {v}: weight={w!r} "
                 f"out={out_w[v]!r} in={in_w[v]!r}"
@@ -362,7 +344,7 @@ def outdegree_identity_check(
 
 
 def boshernitzan_bound_check(
-    T: Iet, N: int, keane_depth: Optional[int] = None, eps: Optional[float] = None
+    T: Iet, N: int, keane_depth: Optional[int] = None
 ) -> VerificationOutcome:
     """Distinct vertex weights <= 3(#E - #V) <= 3(d-1), for graphs without
     distinct cycles built from Keane-certified maps; anything uncertified
@@ -374,13 +356,12 @@ def boshernitzan_bound_check(
             "boshernitzan-bound", "Keane certificate failed", n=N, d=T.d,
             keane=keane.to_json(),
         )
-    graph = ggaps_build(T, N, eps=eps)
+    graph = ggaps_build(T, N)
     if graph.has_distinct_cycle():
         return outcome_not_applicable(
             "boshernitzan-bound", "graph has a distinct cycle", n=N, d=T.d,
         )
-    cl_eps = eps if eps is not None else _match_tol(N)
-    distinct = len(cluster_lengths(graph.weights, cl_eps))
+    distinct = len(cluster_lengths(graph.weights, default_cluster_eps(N)))
     excess = graph.num_edges - graph.num_vertices
     details = {
         "n": N,
@@ -464,15 +445,6 @@ class GapForest:
             object.__setattr__(self, "_by_key", {v.key: v for v in self.vertices})
         return self._by_key
 
-    def out_edges(self, key):
-        return [e for e in self.edges if e[0] == key]
-
-    def splitting_gaps(self):
-        counts = {}
-        for s, _t, _w in self.edges:
-            counts[s] = counts.get(s, 0) + 1
-        return [k for k, c in counts.items() if c >= 2]
-
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
@@ -502,11 +474,11 @@ class GapForest:
         return "\n".join(lines) + "\n"
 
 
-def fgaps_build(T: Iet, N: int, eps: Optional[float] = None) -> GapForest:
+def fgaps_build(T: Iet, N: int) -> GapForest:
     """Build the slot forest; raises :class:`ConsistencyError` on a cycle,
     an in-degree above one, or an unclassifiable piece (all signs of
     duplicated orbit points or too small an orbit segment)."""
-    geo = _geometry(T, N, eps=eps)
+    geo = _geometry(T, N)
     M = geo.num_gaps
     pts = geo.points
     d = T.d
@@ -644,7 +616,7 @@ def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> t
     gaps, which are slots themselves.
     """
     if eps is None:
-        eps = _match_tol(forest.n)
+        eps = default_cluster_eps(forest.n)
     by_key = {v.key: v for v in forest.vertices}
     out_count: dict = {}
     for s, _t, _w in forest.edges:
@@ -668,14 +640,11 @@ def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> t
     return tuple(c.length for c in clusters)
 
 
-def verify_forest_lengths(
-    T: Iet, N: int, eps: Optional[float] = None
-) -> VerificationOutcome:
+def verify_forest_lengths(T: Iet, N: int) -> VerificationOutcome:
     """The forest-derived distinct-length set must match the gap-report
-    clusters within eps."""
-    cl_eps = eps if eps is not None else _match_tol(N)
+    clusters within ``default_cluster_eps(N)``."""
     forest = fgaps_build(T, N)
-    derived = gap_lengths_from_forest(forest, eps=cl_eps)
+    derived = gap_lengths_from_forest(forest)
     report = gap_report(T, N)
     expected = tuple(c.length for c in report.clusters)
     failures = []
@@ -685,7 +654,7 @@ def verify_forest_lengths(
         )
     else:
         for e, g in zip(expected, derived):
-            if abs(e - g) > max(cl_eps, 1e-12):
+            if abs(e - g) > report.eps:
                 failures.append({"what": "length", "expected": e, "got": g})
     details = {"n": N, "d": T.d, "derived": list(derived), "clusters": list(expected)}
     if failures:

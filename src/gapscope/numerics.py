@@ -33,29 +33,6 @@ def guard_band(bits: int = DEFAULT_PRECISION) -> float:
     return 2.0 ** (-(bits - 8))
 
 
-@dataclass(frozen=True)
-class RealValue:
-    """A computed real together with the working precision it carries.
-
-    The core numerics run in IEEE doubles (53 bits); the precision field
-    records how finely the *inputs* were resolved, which drives guard
-    bands, zero-drop thresholds, and decimal rendering.
-    """
-
-    value: float
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"non-finite real value {self.value!r}")
-
-    def tolerance(self, shift: int = 8) -> float:
-        return 2.0 ** (-(self.precision - shift))
-
-    def to_json(self) -> dict:
-        return {"kind": "real", "value": self.value, "precision": self.precision}
-
-
 # ---------------------------------------------------------------------------
 # Farey fractions
 # ---------------------------------------------------------------------------
@@ -598,6 +575,18 @@ def farey_neighbors(
             k = _max_k(lambda k: cmp(lo_a + k * hi_a, lo_q + k * hi_q) > 0, k_cap)
             lo_a, lo_q = lo_a + k * hi_a, lo_q + k * hi_q
     return _checked_bracket(expr, inexact, bits, N, pair=((lo_a, lo_q), (hi_a, hi_q)))
+
+
+def bracket_offsets(
+    x: AlphaLike, bracket: FareyBracket, bits: int = DEFAULT_PRECISION
+) -> tuple[Fraction, Fraction]:
+    """The offsets A = q1*x - a1 and C = a2 - q2*x of x from its Farey
+    neighbors a1/q1 < x < a2/q2, as exact fractions.  An irrational x is
+    resolved to max(96, bits) bits."""
+    expr, _ = coerce_alpha(x)
+    xf = expr.as_fraction() if expr.is_rational else expr.eval_fraction(max(96, bits))
+    lower, upper = bracket.lower, bracket.upper
+    return lower.q * xf - lower.a, upper.a - upper.q * xf
 
 
 def _max_k(pred, k_cap: int) -> int:

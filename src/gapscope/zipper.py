@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import ConsistencyError, DomainError
 from .gaps import GapReport, gap_report
 from .iet import Iet
-from .numerics import AlphaLike, coerce_alpha, farey_neighbors, mod_inverse
+from .numerics import AlphaLike, bracket_offsets, coerce_alpha, farey_neighbors, mod_inverse
 from .outcomes import VerificationOutcome, outcome_fail, outcome_pass
 
 AREA_TOL = 1e-10
@@ -93,12 +92,8 @@ def zipper_torus(alpha: AlphaLike, N: int, bits: int = 53) -> ZipperedRectangles
             pi=(2, 1),
             case="rational",
         )
-    a1, q1 = bracket.lower.a, bracket.lower.q
-    a2, q2 = bracket.upper.a, bracket.upper.q
-    expr, _ = coerce_alpha(alpha)
-    af = expr.as_fraction() if expr.is_rational else expr.eval_fraction(max(96, bits))
-    A = float(q1 * af - a1)
-    C = float(a2 - q2 * af)
+    q1, q2 = bracket.lower.q, bracket.upper.q
+    A, C = (float(v) for v in bracket_offsets(alpha, bracket, bits))
     return ZipperedRectangles(
         widths=(1.0 - q1 / N, (q1 + q2) / N - 1.0, 1.0 - q2 / N),
         heights=(N * A, N * A + N * C, N * C),
@@ -134,12 +129,9 @@ def arc_parameter(alpha: AlphaLike, N: int) -> tuple[int, int, float]:
     bracket = farey_neighbors(alpha, N)
     if bracket.is_exact:
         raise DomainError(f"{bracket.exact} is a Farey element, not interior to an arc")
-    a1, q1 = bracket.lower.a, bracket.lower.q
-    q2 = bracket.upper.q
-    expr, _ = coerce_alpha(alpha)
-    af = expr.as_fraction() if expr.is_rational else expr.eval_fraction(96)
-    t = float(q1 * q2 * (af - Fraction(a1, q1)))
-    return q1, q2, t
+    q1, q2 = bracket.lower.q, bracket.upper.q
+    A, _ = bracket_offsets(alpha, bracket)
+    return q1, q2, float(q2 * A)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,22 @@ def test_unknown_flag_exits_two(runner):
     assert runner.invoke(main, ["gaps", "--bogus", "1"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
+        ["graph", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
+        ["graph", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["verify", "bosh", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["verify", "forest", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
+        ["verify", "dplus2", "--iet", "IET", "--n", "8", "--precision", "80"],
+    ],
+)
+def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):
+    args = [iet_spec_file if a == "IET" else a for a in args]
+    assert runner.invoke(main, args).exit_code == 2
+
+
 def test_malformed_surd_exits_two_with_position(runner):
     result = runner.invoke(main, ["gaps", "--alpha", "sqrt(2", "--n", "9"])
     assert result.exit_code == 2

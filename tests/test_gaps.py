@@ -103,6 +103,20 @@ def test_gap_sum_is_one_for_random_maps(rng):
         assert sum(c.count for c in rep.clusters) == rep.num_points
 
 
+SURDS = ["sqrt(1/2)", "sqrt(2/7)", "sqrt(5) - 2"]
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("alpha", SURDS)
+def test_gap_report_matches_prediction_at_large_n(alpha, N):
+    rep = gap_report(Iet.rotation(alpha), N)
+    pred = three_gap_predict(alpha, N)
+    want = sorted((l, c) for l, c in zip(pred.lengths, pred.counts) if c > 0)
+    assert [c.count for c in rep.clusters] == [c for _, c in want]
+    for got, (length, _) in zip(rep.clusters, want):
+        assert abs(got.length - length) <= rep.eps
+
+
 def test_gap_report_json_roundtrip(demo_iet):
     rep = gap_report(demo_iet, 8)
     back = GapReport.from_json(rep.to_json())

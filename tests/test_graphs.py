@@ -186,6 +186,17 @@ def test_forest_lengths_rotation_match_three_gap():
         assert abs(got - expect) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "alpha, N",
+    [("sqrt(1/2)", 10**4), ("sqrt(2/7)", 10**4), ("sqrt(5) - 2", 10**4), ("sqrt(1/2)", 10**5)],
+)
+def test_graph_checks_pass_on_long_rotation_orbits(alpha, N):
+    T = Iet.rotation(alpha)
+    for check in (boshernitzan_bound_check, verify_forest_lengths, outdegree_identity_check):
+        out = check(T, N)
+        assert out.passed, out.to_json()
+
+
 def test_forest_rotation_slot_counts():
     F = fgaps_build(Iet.rotation("sqrt(1/2)"), 9)
     rights = [v for v in F.vertices if v.kind == RIGHT_SLOT] + [

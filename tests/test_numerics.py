@@ -309,15 +309,3 @@ def test_farey_fraction_validation():
     with pytest.raises(DomainError):
         FareyFraction(a=3, q=2)
     assert FareyFraction(a=1, q=2).value == 0.5
-
-
-def test_real_value_wrapper():
-    from gapscope.numerics import RealValue
-
-    v = RealValue(0.25)
-    assert v.precision == 53
-    assert v.tolerance() == 2.0 ** -45
-    assert RealValue(0.25, precision=80).tolerance() == 2.0 ** -72
-    assert v.to_json() == {"kind": "real", "value": 0.25, "precision": 53}
-    with pytest.raises(DomainError):
-        RealValue(float("nan"))
