@@ -265,10 +265,9 @@ def cmd_zipper(alpha, n, precision, fmt):
 @click.option("--range", "range_", default="0,1", show_default=True)
 @click.option("--iet", "iet_path", default=None, help="IET spec (empirical kind)")
 @click.option("--grid", type=int, default=200, show_default=True, help="alpha grid (empirical)")
-@PRECISION_OPT
 @SEED_OPT
 @FORMAT_OPT
-def cmd_dist(kind, z_single, z_grid, n, range_, iet_path, grid, precision, seed, fmt):
+def cmd_dist(kind, z_single, z_grid, n, range_, iet_path, grid, seed, fmt):
     """Average gap distribution: exact (rotations), empirical (IET
     compositions), or the closed-form limit."""
     if (z_single is None) == (z_grid is None):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DomainError, GapscopeError
 from .gaps import GapReport, gap_report
 from .iet import Iet
-from .numerics import DEFAULT_PRECISION, _farey_pair_ints, dilog
+from .numerics import DEFAULT_PRECISION, _farey_pair_ints, dilog, farey_arc_blocks
 from .outcomes import VerificationOutcome, outcome_fail, outcome_pass
 
 SIX_OVER_PI_SQ = 6.0 / (math.pi * math.pi)
@@ -81,6 +82,72 @@ def _arc_cutoff_integral(x: float, y: float, z: float, t_lo: float, t_hi: float)
     return w1 * m1 + w2 * m2 + w3 * m3
 
 
+def _arc_cutoff_integrals(x, y, z: float, t_lo, t_hi) -> np.ndarray:
+    """:func:`_arc_cutoff_integral` elementwise over arrays of arcs, with
+    the same IEEE operations in the same order.  ``np.maximum`` and
+    ``np.minimum`` pick what ``max`` and ``min`` pick up to the sign of a
+    zero, which no measure below depends on."""
+    w1 = 1.0 - x
+    w2 = x + y - 1.0
+    w3 = 1.0 - y
+    if z <= 0.0:
+        return (w1 + w2 + w3) * _window_measures(t_lo, t_hi)
+    m1 = _window_measures(np.maximum(t_lo, z * y), t_hi)
+    m3 = _window_measures(t_lo, np.minimum(t_hi, 1.0 - z * x))
+    h_left = 1.0 / x
+    h_right = 1.0 / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = (z - h_left) / (h_right - h_left)
+    m2 = np.where(
+        h_right > h_left,
+        _window_measures(np.maximum(t_lo, t_star), t_hi),
+        _window_measures(t_lo, np.minimum(t_hi, t_star)),
+    )
+    flat = h_left == h_right  # only the arc (0/1, 1/1) of F(1)
+    if flat.any():
+        m2[flat] = np.where(h_left >= z, _window_measures(t_lo, t_hi), 0.0)[flat]
+    return w1 * m1 + w2 * m2 + w3 * m3
+
+
+def _window_measures(lo, hi) -> np.ndarray:
+    return np.where(hi > lo, hi - lo, 0.0)
+
+
+def _rotation_averages(a: float, b: float, z_values: Sequence[float], N: int) -> list[float]:
+    """:func:`avg_gap_rotation_exact` for every z in ``z_values``, from one
+    enumeration of the arcs.
+
+    An arc inside the window has t_lo = 0.0 and t_hi = 1.0, so its block
+    keeps only (q1, q2) as int32; the window clips at most the two end arcs.
+    Each z is one ``fsum`` over the blocks; it is correctly rounded whatever
+    the order, so the values equal the arc-by-arc sum bit for bit.
+    """
+    if not 0.0 <= a < b <= 1.0:
+        raise DomainError(f"invalid averaging range [{a}, {b}]")
+    for z in z_values:
+        if z < 0:
+            raise DomainError(f"threshold must be >= 0, got {z}")
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
+    blocks = []
+    for a1, q1, _, q2 in farey_arc_blocks(N, a, b):
+        # t = q1*q2*(alpha - a1/q1) in (0, 1) on the arc; clip to [a, b]
+        t_lo = np.maximum(0.0, q1 * q2 * a - q2 * a1)
+        t_hi = np.minimum(1.0, q1 * q2 * b - q2 * a1)
+        whole = (t_lo == 0.0) & (t_hi == 1.0)
+        blocks.append((q1[whole].astype(np.int32), q2[whole].astype(np.int32), 0.0, 1.0))
+        clipped = ~whole & (t_hi > t_lo)
+        if clipped.any():
+            blocks.append((q1[clipped], q2[clipped], t_lo[clipped], t_hi[clipped]))
+
+    def parts(z):
+        for q1, q2, t_lo, t_hi in blocks:
+            val = _arc_cutoff_integrals(q1 / N, q2 / N, z, t_lo, t_hi)
+            yield memoryview(val / (q1 * q2.astype(np.float64)))
+
+    return [math.fsum(chain.from_iterable(parts(z))) / (b - a) for z in z_values]
+
+
 def avg_gap_rotation_exact(a: float, b: float, z: float, N: int) -> float:
     """The average over alpha in [a, b] of (number of normalized rotation
     gaps >= z)/N, integrated arc by arc in closed form.
@@ -90,22 +157,7 @@ def avg_gap_rotation_exact(a: float, b: float, z: float, N: int) -> float:
     contributes width * measure / (q1*q2).  Rational alpha form a measure
     zero set and do not contribute.
     """
-    if not 0.0 <= a < b <= 1.0:
-        raise DomainError(f"invalid averaging range [{a}, {b}]")
-    if z < 0:
-        raise DomainError(f"threshold must be >= 0, got {z}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    parts = []
-    for a1, q1, a2, q2 in _farey_pair_ints(N, a, b):
-        # t = q1*q2*(alpha - a1/q1) in (0, 1) on the arc; clip to [a, b]
-        t_lo = max(0.0, q1 * q2 * a - q2 * a1)
-        t_hi = min(1.0, q1 * q2 * b - q2 * a1)
-        if t_hi <= t_lo:
-            continue
-        val = _arc_cutoff_integral(q1 / N, q2 / N, z, t_lo, t_hi)
-        parts.append(val / (q1 * q2))
-    return math.fsum(parts) / (b - a)
+    return _rotation_averages(a, b, [z], N)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +434,7 @@ class DistributionCurve:
 
 
 def rotation_curve(z_values: Sequence[float], N: int, a: float = 0.0, b: float = 1.0) -> DistributionCurve:
-    vals = tuple(avg_gap_rotation_exact(a, b, z, N) for z in z_values)
+    vals = tuple(_rotation_averages(a, b, z_values, N))
     return DistributionCurve(tuple(z_values), vals, N=N, a=a, b=b, kind="exact")
 
 
@@ -415,9 +467,10 @@ def verify_distribution_convergence(
     across the branch points z = 1 and z = 2."""
     failures = []
     errors = {}
-    for z in z_values:
+    averages = [_rotation_averages(0.0, 1.0, z_values, N) for N in n_values]
+    for i, z in enumerate(z_values):
         target = limit_gap_distribution(z)
-        errs = [abs(avg_gap_rotation_exact(0.0, 1.0, z, N) - target) for N in n_values]
+        errs = [abs(row[i] - target) for row in averages]
         errors[z] = errs
         if any(e2 > e1 for e1, e2 in zip(errs, errs[1:])):
             failures.append({"what": "monotone error", "z": z, "errors": errs})

@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import AmbiguousValueError, DomainError, NoInverseError, ParseError
 
 DEFAULT_PRECISION = 53
@@ -691,6 +693,63 @@ def _farey_pair_ints(N: int, a: AlphaLike, b: AlphaLike) -> Iterator[tuple[int, 
             break
         k = (N + q1) // q2
         a1, q1, a2, q2 = a2, q2, k * a2 - a1, k * q2 - q1
+
+
+#: candidate fractions a1/q1 per block of :func:`farey_arc_blocks`
+_ARC_BLOCK = 1 << 13
+
+
+def farey_arc_blocks(
+    N: int, a: AlphaLike = 0, b: AlphaLike = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The arcs of :func:`_farey_pair_ints` as int64 arrays (a1, q1, a2, q2),
+    a block of q1 rows at a time, each arc once, ordered by rows rather
+    than along [0, 1].
+
+    Row q1 holds the a1 from the walk's first arc up to the last start
+    a1 < b*q1 the walk passes (compared in floats, as the walk does); the
+    coprime a1 start an arc, whose end has q2 = -a1^-1 mod q1 in
+    (N - q1, N] and a2 = (1 + a1*q2)/q1.  The inverses come from one
+    extended Euclid over the whole block.
+    """
+    if not 1 <= N < 2**31:  # the Euclid runs in int32
+        raise DomainError(f"Farey order must lie in [1, 2**31), got {N}")
+    first_a, first_q = next(_farey_pair_ints(N, a, b))[:2]
+    b_f = alpha_float(b) if b != 1 else 1.0
+    rows = np.arange(1, N + 1, dtype=np.int64)
+    lo = -((-first_a * rows) // first_q)
+    hi = np.minimum(np.ceil(b_f * rows).astype(np.int64) - 1, rows - 1)
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    r = 0
+    while r < N:
+        r_end = max(r + 1, int(np.searchsorted(ends, ends[r] - counts[r] + _ARC_BLOCK, "right")))
+        n = counts[r:r_end]
+        q1 = np.repeat(rows[r:r_end], n)
+        a1 = np.arange(q1.size, dtype=np.int64) + np.repeat(lo[r:r_end] - (np.cumsum(n) - n), n)
+        g, s = _gcd_and_cofactor(a1.astype(np.int32), q1.astype(np.int32))
+        keep = g == 1
+        a1, q1 = a1[keep], q1[keep]
+        q2 = N - (N + s[keep].astype(np.int64)) % q1
+        yield a1, q1, (1 + a1 * q2) // q1, q2
+        r = r_end
+
+
+def _gcd_and_cofactor(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise g = gcd(u, m) and s with s*u == g (mod m), for
+    0 <= u < m, by the extended Euclid on the whole arrays at once.
+
+    An element that has ended, (r0, r1) = (g, 0), swaps to (0, g) and back
+    on every further step (k = 0 under numpy's integer x // 0 == 0); the
+    loop ends once no element has both remainders nonzero.
+    """
+    r0, r1, s0, s1 = m, u, np.zeros_like(m), np.ones_like(m)
+    with np.errstate(divide="ignore"):
+        while np.logical_and(r0, r1).any():
+            k = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    ended = r1 == 0
+    return np.where(ended, r0, r1), np.where(ended, s0, s1)
 
 
 def farey_pairs_covering(

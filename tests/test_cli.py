@@ -214,6 +214,7 @@ def test_unknown_flag_exits_two(runner):
         ["verify", "bosh", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
         ["verify", "forest", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
         ["verify", "dplus2", "--iet", "IET", "--n", "8", "--precision", "80"],
+        ["dist", "--z", "0.5", "--n", "20", "--precision", "80"],
     ],
 )
 def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):

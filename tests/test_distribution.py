@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 from gapscope.distribution import (
     DistributionCurve,
     SIX_OVER_PI_SQ,
+    _arc_cutoff_integral,
     aggregate_cutoff_kernel,
     arc_cutoff_kernel,
     avg_gap_iet,
@@ -22,6 +24,7 @@ from gapscope.distribution import (
 )
 from gapscope.errors import DomainError
 from gapscope.iet import Iet
+from gapscope.numerics import _farey_pair_ints, farey_arc_blocks
 from gapscope.zipper import cutoff_f, zipper_torus
 
 
@@ -91,6 +94,66 @@ def test_exact_average_domain():
         avg_gap_rotation_exact(0.7, 0.3, 1.0, 10)
     with pytest.raises(DomainError):
         avg_gap_rotation_exact(0, 1, -1.0, 10)
+
+
+def _per_arc_average(a, b, z, N):
+    """The exact average summed arc by arc along the Farey walk."""
+    parts = []
+    for a1, q1, a2, q2 in _farey_pair_ints(N, a, b):
+        t_lo = max(0.0, q1 * q2 * a - q2 * a1)
+        t_hi = min(1.0, q1 * q2 * b - q2 * a1)
+        if t_hi <= t_lo:
+            continue
+        val = _arc_cutoff_integral(q1 / N, q2 / N, z, t_lo, t_hi)
+        parts.append(val / (q1 * q2))
+    return math.fsum(parts) / (b - a)
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (1 / 3, 0.5), (0.43, 0.68), (0.5, 1.0)])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 200, 400])
+def test_rotation_curve_equals_per_arc_sum(N, window):
+    # bit for bit; at N = 400 the walk to b = 0.68 stops at 17/25 although
+    # the float 0.68 lies above it, so the arc that starts there is left out
+    a, b = window
+    zs = [0.0, 0.4, 1.0, 1.5, 2.0, 3.25]
+    assert list(rotation_curve(zs, N, a, b).values) == [_per_arc_average(a, b, z, N) for z in zs]
+
+
+def _arc_list(N, a=0, b=1):
+    arcs = []
+    for a1, q1, a2, q2 in farey_arc_blocks(N, a, b):
+        assert np.all(a2 * q1 - a1 * q2 == 1)
+        arcs += zip(a1.tolist(), q1.tolist(), a2.tolist(), q2.tolist())
+    return arcs
+
+
+def test_arc_blocks_enumerate_each_farey_arc_once():
+    for N in [*range(1, 61), 400]:
+        arcs = _arc_list(N)
+        assert len(arcs) == len(set(arcs))
+        assert set(arcs) == set(_farey_pair_ints(N, 0, 1))
+
+
+def test_arc_blocks_match_the_walk_at_float_neighbours_of_fractions():
+    # windows that start or end on, or one float beside, a Farey fraction
+    for N in (7, 25, 60):
+        for p, q in ((1, 3), (2, 5), (17, 25), (1, 2)):
+            v = p / q
+            for a in (math.nextafter(v, 0), v, math.nextafter(v, 1)):
+                for b in (math.nextafter(a, 1), math.nextafter(v, 1), 0.9):
+                    if a < b:
+                        assert sorted(_arc_list(N, a, b)) == sorted(_farey_pair_ints(N, a, b))
+
+
+def test_rotation_curve_memory_stays_at_block_scale():
+    # the per-arc list of the arc-by-arc sum peaks at 1.5 MB here
+    tracemalloc.start()
+    try:
+        rotation_curve([0.25 * k for k in range(16)], 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 # ---------------------------------------------------------------------------
