@@ -39,7 +39,6 @@ from .gaps import (
     dplus2_bound,
     gap_report,
     orbit,
-    rotation_orbit,
     sigma_recursion,
     three_gap_predict,
     verify_dplus2,
@@ -77,8 +76,6 @@ from .numerics import (
     dilog,
     farey_fractions,
     farey_neighbors,
-    farey_pairs,
-    farey_pairs_covering,
     farey_successor,
     mod_inverse,
     parse_surd,

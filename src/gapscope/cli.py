@@ -124,6 +124,8 @@ def _parse_z_grid(text: str) -> list[float]:
     k = 0
     while True:
         z = start + k * step
+        # start + k*step may round a few ulps past the STOP the user typed;
+        # 1e-12 keeps that endpoint, and is far below any step one types
         if z > stop + 1e-12:
             break
         out.append(round(z, 12))

@@ -24,8 +24,9 @@ from .outcomes import (
 
 def default_cluster_eps(N: int) -> float:
     """The tolerance for float noise in an orbit segment of length N:
-    ``4 * N * 2**-53``.  Every comparison of orbit points, gap lengths,
-    graph endpoints or graph weights goes through it.
+    ``4 * N * 2**-53``.  Every comparison of orbit points or gap lengths,
+    of a breakpoint against the orbit points, and of graph weights goes
+    through it.
 
     Orbit points lie in [0, 1).  A rotation point {n * theta} is rounded
     once, in the product n * theta < N, so it is off by at most half an ulp
@@ -65,16 +66,6 @@ def orbit(T: Iet, N: int) -> np.ndarray:
         pts[n] = x
         x = T.apply(x)
     return pts
-
-
-def rotation_orbit(alpha: AlphaLike, N: int) -> np.ndarray:
-    """Fractional parts {n*alpha} for 0 <= n < N."""
-    from .numerics import alpha_float
-
-    a = alpha_float(alpha)
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"rotation number must lie in (0, 1), got {a}")
-    return np.arange(N, dtype=float) * a % 1.0
 
 
 # ---------------------------------------------------------------------------

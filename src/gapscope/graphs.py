@@ -3,22 +3,29 @@ inverse-image overlap, weights by Lebesgue measure), the slot forest
 refining it, the outdegree identity, and the distinct-gap-length bounds
 they imply.
 
-Both constructions work on the sorted orbit segment of 0.  The digraph has
-one vertex per gap and an edge i -> j whenever the inverse image of gap i
-meets gap j; Lebesgue measure makes the in- and out-weights of every
-vertex balance its length.  The forest refines the targets: pieces of an
-inverse image that land against a discontinuity of the map are recorded as
-right/left slots (the stretch from the discontinuity to the nearest orbit
-point) instead of whole gaps, which breaks every cycle and exposes which
-lengths generate the distinct-gap-length set.
+Both constructions work on one partition of [0, 1), cut by the sorted orbit
+segment of 0 and the interior breakpoints of the map.  T is continuous on
+each of its atoms and carries the atom into a single gap, its source; the
+gap holding the atom is its target.  The digraph has one vertex per gap and
+an edge i -> j whenever some atom has source i and target j, that is when
+the inverse image of gap i meets gap j; its weight is the length of those
+atoms, so the in- and out-weights of every vertex balance its length.  The
+forest refines the targets: an atom that ends or starts at a discontinuity
+of the map is a left/right slot (the stretch from the discontinuity to the
+nearest orbit point) instead of a whole gap, which breaks every cycle and
+exposes which lengths generate the distinct-gap-length set.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, DegenerateOrbitError, DomainError
 from .gaps import GapReport, cluster_lengths, default_cluster_eps, gap_report, orbit
@@ -32,89 +39,52 @@ from .outcomes import (
 
 
 # ---------------------------------------------------------------------------
-# Shared geometry helpers
+# The partition into atoms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    """Sorted orbit points, gaps, ghost point, and located discontinuities."""
-
-    T: Iet
-    N: int
-    report: GapReport
-    points: tuple[float, ...]
-    ghost: float
-    tol: float
-
-    @property
-    def num_gaps(self) -> int:
-        return len(self.points)
-
-    def gap_interval(self, i: int) -> tuple[float, float]:
-        pts = self.points
-        return (pts[i], pts[i + 1]) if i + 1 < len(pts) else (pts[-1], 1.0)
-
-    def gap_length(self, i: int) -> float:
-        left, right = self.gap_interval(i)
-        return right - left
-
-    def locate_point(self, x: float) -> Optional[int]:
-        """Index of the gap whose *open* interior contains x, else None."""
-        pts = self.points
-        j = bisect_right(pts, x) - 1
-        if j < 0:
-            return None
-        left, right = self.gap_interval(j)
-        if x - left > self.tol and right - x > self.tol:
-            return j
-        return None
-
-    def match_orbit_point(self, x: float) -> Optional[int]:
-        pts = self.points
-        j = bisect_left(pts, x - self.tol)
-        if j < len(pts) and abs(pts[j] - x) <= self.tol:
-            return j
-        return None
-
-    def interior_cuts(self, left: float, right: float, cuts: Sequence[float]):
-        return [c for c in cuts if left + self.tol < c < right - self.tol]
-
-
-def _geometry(T: Iet, N: int) -> _Geometry:
+def _segment(T: Iet, N: int) -> tuple[GapReport, float]:
+    """The gap report of the orbit segment of 0 and its ghost point T^N 0."""
     if N < 2:
         raise DomainError(f"gap graphs need N >= 2, got {N}")
     seg = orbit(T, N)
-    report = gap_report(T, N, points=seg)
-    ghost = T.apply(float(seg[-1]))
-    return _Geometry(
-        T=T, N=N, report=report, points=report.points, ghost=ghost,
-        tol=default_cluster_eps(N),
-    )
+    return gap_report(T, N, points=seg), T.apply(float(seg[-1]))
 
 
-def _preimage_pieces(geo: _Geometry, inv: Iet, left: float, right: float):
-    """The inverse-image intervals of (left, right), split at the interior
-    discontinuities and interior orbit points, as (x, y) intervals."""
-    T = geo.T
-    pieces = []
-    cuts = geo.interior_cuts(left, right, T.alpha[1:-1])
-    bounds = [left] + list(cuts) + [right]
-    for u, v in zip(bounds, bounds[1:]):
-        mid = 0.5 * (u + v)
-        img_mid = inv.apply(mid)
-        x = img_mid - (mid - u)
-        y = x + (v - u)
-        # split at orbit points interior to the image
-        inner = []
-        pts = geo.points
-        j = bisect_right(pts, x + geo.tol)
-        while j < len(pts) and pts[j] < y - geo.tol:
-            inner.append(pts[j])
-            j += 1
-        seq = [x] + inner + [y]
-        pieces.extend(zip(seq, seq[1:]))
-    return pieces
+def _locate(pts: np.ndarray, x, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each x in [0, 1): the index of the gap holding it, and whether it
+    lies within tol of an orbit point (or of 1), where it counts as that
+    point."""
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(pts, x, side="right") - 1
+    right = np.append(pts[1:], 1.0)[j]
+    return j, (x - pts[j] <= tol) | (right - x <= tol)
+
+
+def _atoms(T: Iet, pts: np.ndarray, tol: float):
+    """The partition of [0, 1) cut by the sorted orbit points ``pts`` and the
+    interior breakpoints beta_1 .. beta_{d-1} of T.
+
+    A breakpoint within tol of an orbit point counts as that point and cuts
+    nothing.  Atom a is [left[a], right[a]).  ``cut[a]`` is -1 where left[a]
+    is an orbit point and k where it is beta_k; ``end[a]`` likewise labels
+    right[a], with d for 1.  T is continuous on every atom: its target is
+    the gap holding it, its source the gap holding its image, and ``image``
+    is T at its midpoint.  Returns (left, right, cut, end, target, source,
+    image).
+    """
+    betas = np.asarray(T.beta[1:-1])
+    _, merged = _locate(pts, betas, tol)
+    at = np.searchsorted(pts, betas[~merged])
+    left = np.insert(pts, at, betas[~merged])
+    cut = np.insert(np.full(len(pts), -1), at, np.arange(1, T.d)[~merged])
+    right = np.append(left[1:], 1.0)
+    end = np.append(cut[1:], T.d)
+    mid = 0.5 * (left + right)
+    image = mid + np.asarray(T.shifts)[np.searchsorted(T.beta, mid, side="right") - 1]
+    target = np.searchsorted(pts, mid, side="right") - 1
+    source = np.searchsorted(pts, image, side="right") - 1
+    return left, right, cut, end, target, source, image
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +117,17 @@ class GapGraph:
         return len(self.edges)
 
     def degree_table(self):
-        """(outdeg, indeg, out_weight, in_weight) arrays in one pass."""
-        V = self.num_vertices
-        outdeg = [0] * V
-        indeg = [0] * V
-        out_w = [0.0] * V
-        in_w = [0.0] * V
-        for (s, t), w in self.edges.items():
-            outdeg[s] += 1
-            indeg[t] += 1
-            out_w[s] += w
-            in_w[t] += w
-        return outdeg, indeg, out_w, in_w
+        """(outdeg, indeg, out_weight, in_weight) arrays, one entry per vertex."""
+        V, E = self.num_vertices, self.num_edges
+        st = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * E)
+        s, t = st[0::2], st[1::2]
+        w = np.fromiter(self.edges.values(), dtype=float, count=E)
+        return (
+            np.bincount(s, minlength=V),
+            np.bincount(t, minlength=V),
+            np.bincount(s, w, V),
+            np.bincount(t, w, V),
+        )
 
     def has_distinct_cycle(self) -> bool:
         """A directed cycle every vertex of which has indeg = outdeg = 1.
@@ -169,11 +138,7 @@ class GapGraph:
         produce none.
         """
         outdeg, indeg, _, _ = self.degree_table()
-        ones = {
-            v
-            for v in range(self.num_vertices)
-            if indeg[v] == 1 and outdeg[v] == 1
-        }
+        ones = set(np.flatnonzero((indeg == 1) & (outdeg == 1)).tolist())
         succ = {}
         for (s, t) in self.edges:
             if s in ones and t in ones:
@@ -227,39 +192,29 @@ def ggaps_build(T: Iet, N: int) -> GapGraph:
     Raises :class:`ConsistencyError` when the per-vertex in/out weight
     balance fails beyond tolerance (signals duplicated orbit points).
     """
-    geo = _geometry(T, N)
-    M = geo.num_gaps
-    inv = T.inverse()
-    edges: dict = {}
-    for i in range(M):
-        left, right = geo.gap_interval(i)
-        for (x, y) in _preimage_pieces(geo, inv, left, right):
-            _accumulate_overlaps(geo, i, x, y, edges)
+    return _ggaps(T, N, *_segment(T, N))
+
+
+def _ggaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapGraph:
+    """One edge source -> target per distinct pair over the atoms, weighted
+    by the total length of its atoms."""
+    pts = np.asarray(report.points)
+    M = len(pts)
+    left, right, _, _, target, source, _ = _atoms(T, pts, report.eps)
+    pairs, which = np.unique(source * M + target, return_inverse=True)
+    sources, targets = divmod(pairs, M)
+    lengths = np.bincount(which, weights=right - left)
+    ends = np.append(pts[1:], 1.0)
     graph = GapGraph(
         n=N,
         d=T.d,
-        vertices=tuple(geo.gap_interval(i) for i in range(M)),
-        weights=tuple(geo.gap_length(i) for i in range(M)),
-        edges=edges,
-        ghost=geo.ghost,
+        vertices=tuple(zip(pts.tolist(), ends.tolist())),
+        weights=tuple((ends - pts).tolist()),
+        edges=dict(zip(zip(sources.tolist(), targets.tolist()), lengths.tolist())),
+        ghost=ghost,
     )
     _check_weight_axioms(graph)
     return graph
-
-
-def _accumulate_overlaps(geo: _Geometry, source: int, x: float, y: float, edges: dict):
-    pts = geo.points
-    j = min(bisect_right(pts, x + geo.tol) - 1, geo.num_gaps - 1)
-    j = max(j, 0)
-    while j < geo.num_gaps:
-        gl, gr = geo.gap_interval(j)
-        if gl >= y - geo.tol:
-            break
-        overlap = min(y, gr) - max(x, gl)
-        if overlap > geo.tol:
-            key = (source, j)
-            edges[key] = edges.get(key, 0.0) + overlap
-        j += 1
 
 
 def _check_weight_axioms(graph: GapGraph) -> None:
@@ -268,12 +223,14 @@ def _check_weight_axioms(graph: GapGraph) -> None:
     if abs(total - 1.0) > tol:
         raise ConsistencyError(f"vertex weights sum to {total!r}, not 1")
     _, _, out_w, in_w = graph.degree_table()
-    for v, w in enumerate(graph.weights):
-        if abs(out_w[v] - w) > tol or abs(in_w[v] - w) > tol:
-            raise ConsistencyError(
-                f"weight balance failed at vertex {v}: weight={w!r} "
-                f"out={out_w[v]!r} in={in_w[v]!r}"
-            )
+    w = np.asarray(graph.weights)
+    bad = np.flatnonzero((np.abs(out_w - w) > tol) | (np.abs(in_w - w) > tol))
+    if bad.size:
+        v = int(bad[0])
+        raise ConsistencyError(
+            f"weight balance failed at vertex {v}: weight={float(w[v])!r} "
+            f"out={float(out_w[v])!r} in={float(in_w[v])!r}"
+        )
 
 
 def outdegree_identity_check(
@@ -291,8 +248,8 @@ def outdegree_identity_check(
     the run is reported not-applicable.  The edge-excess bound holds
     regardless and is still checked in that case.
     """
-    geo = _geometry(T, N)
-    if T.d < 2 or geo.report.deduplicated:
+    report, ghost = _segment(T, N)
+    if T.d < 2 or report.deduplicated:
         return outcome_not_applicable(
             "outdegree-identity",
             "degenerate orbit (duplicated points or d < 2)",
@@ -300,32 +257,25 @@ def outdegree_identity_check(
             d=T.d,
         )
     if graph is None:
-        graph = ggaps_build(T, N)
+        graph = _ggaps(T, N, report, ghost)
+    pts = np.asarray(report.points)
+
+    def inside(xs) -> np.ndarray:
+        """How many of xs each gap holds in its interior."""
+        j, on_point = _locate(pts, xs, report.eps)
+        return np.bincount(j[~on_point], minlength=len(pts))
+
     failures = []
-    # only genuine discontinuities of the inverse split an inverse image
-    alphas = [T.alpha[k] for k in T.genuine_alpha_indices()]
-    outdeg, _, _, _ = graph.degree_table()
     excess = graph.num_edges - graph.num_vertices
     if excess > T.d - 1:
         failures.append(
             {"what": "edge excess", "expected": f"<= {T.d - 1}", "got": excess}
         )
     details = {"n": N, "d": T.d, "edges": graph.num_edges, "vertices": graph.num_vertices}
-    betas = [T.beta[k] for k in T.genuine_beta_indices()]
-    separated = True
-    per_vertex = []
-    for i in range(graph.num_vertices):
-        left, right = graph.vertices[i]
-        expected = 1
-        if left + geo.tol < geo.ghost < right - geo.tol:
-            expected += 1
-        inside = sum(1 for a in alphas if left + geo.tol < a < right - geo.tol)
-        inside_beta = sum(1 for b in betas if left + geo.tol < b < right - geo.tol)
-        if inside > 1 or inside_beta > 1:
-            separated = False
-        expected += inside
-        per_vertex.append((i, expected, outdeg[i]))
-    if not separated:
+    # only genuine discontinuities of the inverse split an inverse image
+    alphas = inside([T.alpha[k] for k in T.genuine_alpha_indices()])
+    betas = inside([T.beta[k] for k in T.genuine_beta_indices()])
+    if alphas.max() > 1 or betas.max() > 1:
         if failures:
             return outcome_fail("outdegree-identity", failures, **details)
         return outcome_not_applicable(
@@ -333,11 +283,12 @@ def outdegree_identity_check(
             "orbit points do not separate the discontinuities at this N",
             **details,
         )
-    for i, expected, got in per_vertex:
-        if got != expected:
-            failures.append(
-                {"what": "outdegree", "vertex": i, "expected": expected, "got": got}
-            )
+    expected = 1 + alphas + inside([ghost])
+    outdeg = graph.degree_table()[0]
+    for i in np.flatnonzero(outdeg != expected).tolist():
+        failures.append(
+            {"what": "outdegree", "vertex": i, "expected": int(expected[i]), "got": int(outdeg[i])}
+        )
     if failures:
         return outcome_fail("outdegree-identity", failures, **details)
     return outcome_pass("outdegree-identity", **details)
@@ -475,136 +426,89 @@ class GapForest:
 
 
 def fgaps_build(T: Iet, N: int) -> GapForest:
-    """Build the slot forest; raises :class:`ConsistencyError` on a cycle,
-    an in-degree above one, or an unclassifiable piece (all signs of
-    duplicated orbit points or too small an orbit segment)."""
-    geo = _geometry(T, N)
-    M = geo.num_gaps
-    pts = geo.points
-    d = T.d
-    tol = geo.tol
+    """Build the slot forest; raises :class:`DegenerateOrbitError` on an
+    inverse-image piece between two discontinuities (too small an orbit
+    segment) and :class:`ConsistencyError` on a cycle or an in-degree above
+    one (duplicated orbit points)."""
+    return _fgaps(T, N, *_segment(T, N))
 
-    # slot data around each discontinuity of T
-    betas = T.beta
-    right_slots = {}
-    left_slots = {}
-    for idx in range(0, d):  # right slots at beta_0..beta_{d-1}
-        r = _nearest_right(pts, betas[idx], tol)
-        if r is not None:
-            right_slots[idx] = (betas[idx], r)
-    for idx in range(1, d + 1):  # left slots at beta_1..beta_d
-        l = _nearest_left(pts, betas[idx], tol)
-        if l is not None:
-            left_slots[idx] = (l, betas[idx])
 
-    vertices: dict = {}
-    for i in range(M):
-        left, right = geo.gap_interval(i)
-        label = None
-        if i == 0:
-            label = "R0"  # first gap == right slot of beta_0
-        if i == M - 1:
-            label = f"L{d}"  # last gap == left slot of beta_d
-        vertices[(GAP, i)] = ForestVertex(GAP, i, left, right, slot_label=label)
-    for idx, (l, r) in right_slots.items():
-        if idx == 0:
-            continue  # identified with the first gap
-        vertices[(RIGHT_SLOT, idx)] = ForestVertex(RIGHT_SLOT, idx, l, r)
-    for idx, (l, r) in left_slots.items():
-        if idx == d:
-            continue  # identified with the last gap
-        vertices[(LEFT_SLOT, idx)] = ForestVertex(LEFT_SLOT, idx, l, r)
+def _fgaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapForest:
+    """One edge per atom, from its source gap to the atom itself, in the
+    order of the atoms' images.  An atom between two orbit points (or from
+    the last one to 1) is a gap; one that starts at beta_k is right slot k,
+    one that ends at beta_k left slot k."""
+    pts = np.asarray(report.points)
+    M, d = len(pts), T.d
+    left, right, cut, end, target, source, image = _atoms(T, pts, report.eps)
+    stray = np.flatnonzero((cut >= 1) & (end >= 1))
+    if stray.size:
+        a = int(stray[0])
+        raise DegenerateOrbitError(
+            f"inverse-image piece ({float(left[a])!r}, {float(right[a])!r}) of gap "
+            f"{int(source[a])} runs between two discontinuities and matches no gap or "
+            "slot (orbit too short to separate discontinuities)"
+        )
+    ends = np.append(pts[1:], 1.0)
+    vertices = list(map(ForestVertex, repeat(GAP), range(M), pts.tolist(), ends.tolist()))
+    vertices[0] = replace(vertices[0], slot_label="R0")  # right slot of beta_0
+    vertices[-1] = replace(vertices[-1], slot_label=f"L{d}")  # left slot of beta_d
+    gap_keys = [v.key for v in vertices]
+    keys = list(map(gap_keys.__getitem__, target.tolist()))
+    for kind, atoms, k in (
+        (RIGHT_SLOT, np.flatnonzero(cut >= 1), cut),
+        (LEFT_SLOT, np.flatnonzero((end >= 1) & (end < d)), end),
+    ):
+        for a, idx in zip(atoms.tolist(), k[atoms].tolist()):
+            vertices.append(ForestVertex(kind, idx, float(left[a]), float(right[a])))
+            keys[a] = vertices[-1].key
 
-    inv = T.inverse()
-    edges = []
-    for i in range(M):
-        left, right = geo.gap_interval(i)
-        for (x, y) in _preimage_pieces(geo, inv, left, right):
-            key = _classify_piece(geo, betas, right_slots, left_slots, x, y)
-            if key == (RIGHT_SLOT, 0):
-                key = (GAP, 0)
-            if key == (LEFT_SLOT, d):
-                key = (GAP, M - 1)
-            if key not in vertices:
-                raise DegenerateOrbitError(
-                    f"inverse-image piece ({x!r}, {y!r}) of gap {i} matches no "
-                    "gap or slot (orbit too short to separate discontinuities)"
-                )
-            edges.append(((GAP, i), key, y - x))
-
+    order = np.argsort(image)
     forest = GapForest(
         n=N,
         d=d,
-        vertices=tuple(vertices.values()),
-        edges=tuple(edges),
-        ghost=geo.ghost,
+        vertices=tuple(vertices),
+        edges=tuple(zip(
+            map(gap_keys.__getitem__, source[order].tolist()),
+            map(keys.__getitem__, order.tolist()),
+            (right - left)[order].tolist(),
+        )),
+        ghost=ghost,
     )
     _check_forest(forest)
     return forest
 
 
-def _nearest_right(pts, x, tol):
-    j = bisect_right(pts, x + tol)
-    return pts[j] if j < len(pts) else None
-
-
-def _nearest_left(pts, x, tol):
-    j = bisect_left(pts, x - tol) - 1
-    return pts[j] if j >= 0 else None
-
-
-def _classify_piece(geo, betas, right_slots, left_slots, x, y):
-    """Match a piece (x, y) to a gap or a slot by its endpoints."""
-    j = geo.match_orbit_point(x)
-    if j is not None:
-        left, right = geo.gap_interval(j) if j < geo.num_gaps else (None, None)
-        if left is not None and abs(right - y) <= geo.tol:
-            return (GAP, j)
-    for idx, (l, r) in right_slots.items():
-        if abs(l - x) <= geo.tol and abs(r - y) <= geo.tol:
-            return (RIGHT_SLOT, idx)
-    for idx, (l, r) in left_slots.items():
-        if abs(l - x) <= geo.tol and abs(r - y) <= geo.tol:
-            return (LEFT_SLOT, idx)
-    return None
-
-
 def _check_forest(forest: GapForest) -> None:
-    indeg = {}
-    for _s, t, _w in forest.edges:
-        indeg[t] = indeg.get(t, 0) + 1
-        if indeg[t] > 1:
-            raise ConsistencyError(
-                f"forest vertex {t} has in-degree {indeg[t]} (duplicated orbit point?)"
-            )
-    # cycle detection over gap -> gap edges
-    adj = {}
-    for s, t, _w in forest.edges:
-        if t[0] == GAP:
-            adj.setdefault(s, []).append(t)
-    state = {}
-    for start in adj:
-        if state.get(start):
-            continue
-        stack = [(start, iter(adj.get(start, ())))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 1:
-                    raise ConsistencyError(
-                        f"forest contains a cycle through {nxt} "
-                        "(duplicated orbit point or tolerance failure)"
-                    )
-                if not state.get(nxt):
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
+    """Every vertex has in-degree at most one, and the gap -> gap edges
+    form no cycle."""
+    sources, targets, _ = zip(*forest.edges)
+    keys = list(dict.fromkeys(chain(sources, targets)))
+    ids = dict(zip(keys, range(len(keys))))
+    E, n = len(forest.edges), len(keys)
+    src = np.fromiter(map(ids.__getitem__, sources), np.intp, E)
+    dst = np.fromiter(map(ids.__getitem__, targets), np.intp, E)
+    indeg = np.bincount(dst, minlength=n)
+    if indeg.max() > 1:
+        v = int(np.argmax(indeg))
+        raise ConsistencyError(
+            f"forest vertex {keys[v]} has in-degree {int(indeg[v])} (duplicated orbit point?)"
+        )
+    # each vertex has at most one parent: up[v] starts as v's gap parent,
+    # with n for none, and doubles its reach each round; once the reach
+    # exceeds every path, a vertex that still has an ancestor hangs below a
+    # cycle, and that ancestor lies on it
+    up = np.full(n + 1, n)
+    on_gap = np.fromiter(map(GAP.__eq__, map(itemgetter(0), targets)), bool, E)
+    up[dst[on_gap]] = src[on_gap]
+    for _ in range(n.bit_length() + 1):
+        up = up[up]
+    cyclic = np.flatnonzero(up[:n] != n)
+    if cyclic.size:
+        raise ConsistencyError(
+            f"forest contains a cycle through {keys[up[cyclic[0]]]} "
+            "(duplicated orbit point or tolerance failure)"
+        )
 
 
 def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> tuple[float, ...]:
@@ -643,9 +547,8 @@ def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> t
 def verify_forest_lengths(T: Iet, N: int) -> VerificationOutcome:
     """The forest-derived distinct-length set must match the gap-report
     clusters within ``default_cluster_eps(N)``."""
-    forest = fgaps_build(T, N)
-    derived = gap_lengths_from_forest(forest)
-    report = gap_report(T, N)
+    report, ghost = _segment(T, N)
+    derived = gap_lengths_from_forest(_fgaps(T, N, report, ghost))
     expected = tuple(c.length for c in report.clusters)
     failures = []
     if len(derived) != len(expected):
@@ -713,22 +616,21 @@ def classify_ghost_case(T: Iet, N: int) -> Optional[str]:
     whose right/left endpoint is the exponent-1 orbit point (II/III), or a
     plain interior gap (I).  None when the ghost sits on an orbit point
     (degenerate)."""
-    geo = _geometry(T, N)
-    i = geo.locate_point(geo.ghost)
-    if i is None:
+    report, ghost = _segment(T, N)
+    pts = np.asarray(report.points)
+    (i,), (on_point,) = _locate(pts, [ghost], report.eps)
+    if on_point:
         return None
-    M = geo.num_gaps
     if i == 0:
         return "V"
-    if i == M - 1:
+    if i == len(pts) - 1:
         return "VI"
-    left, right = geo.gap_interval(i)
-    if geo.interior_cuts(left, right, T.alpha[1:-1]):
+    j, on_point = _locate(pts, T.alpha[1:-1], report.eps)
+    if np.any((j == i) & ~on_point):
         return "IV"
-    t1 = float(orbit(T, 2)[1])  # the exponent-1 orbit point
-    if abs(right - t1) <= geo.tol:
+    if report.sigma[i + 1] == 1:
         return "II"
-    if abs(left - t1) <= geo.tol:
+    if report.sigma[i] == 1:
         return "III"
     return "I"
 

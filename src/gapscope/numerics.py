@@ -661,15 +661,6 @@ def farey_successor(frac: FareyFraction, N: int) -> FareyFraction:
     return FareyFraction(a=a2, q=q2)
 
 
-def farey_pairs(N: int) -> Iterator[tuple[FareyFraction, FareyFraction]]:
-    """Consecutive pairs of F(N) from (0/1, 1/N) to ((N-1)/N, 1/1)."""
-    prev = None
-    for frac in farey_fractions(N):
-        if prev is not None:
-            yield prev, frac
-        prev = frac
-
-
 def _farey_pair_ints(N: int, a: AlphaLike, b: AlphaLike) -> Iterator[tuple[int, int, int, int]]:
     """Raw (a1, q1, a2, q2) consecutive pairs of F(N) with arcs meeting (a, b).
 
@@ -751,10 +742,3 @@ def _gcd_and_cofactor(u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndar
     ended = r1 == 0
     return np.where(ended, r0, r1), np.where(ended, s0, s1)
 
-
-def farey_pairs_covering(
-    N: int, a: AlphaLike, b: AlphaLike
-) -> Iterator[tuple[FareyFraction, FareyFraction]]:
-    """Consecutive pairs of F(N) whose open arcs intersect (a, b)."""
-    for a1, q1, a2, q2 in _farey_pair_ints(N, a, b):
-        yield FareyFraction(a=a1, q=q1), FareyFraction(a=a2, q=q2)

@@ -21,7 +21,6 @@ from gapscope.gaps import (
     dplus2_bound,
     gap_report,
     orbit,
-    rotation_orbit,
     sigma_recursion,
     three_gap_predict,
 )
@@ -72,7 +71,7 @@ def test_criterion_2_sigma_recursion_oracle():
         if pred.is_rational:  # floats are never here in practice
             continue
         sigma = sigma_recursion(N, pred.lower[1], pred.upper[1])
-        sorted_perm = tuple(int(v) for v in np.argsort(rotation_orbit(alpha, N)))
+        sorted_perm = tuple(int(v) for v in np.argsort(orbit(Iet.rotation(alpha), N)))
         assert sigma == sorted_perm, (alpha, N)
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,6 @@ from gapscope.gaps import (
     dplus2_bound,
     gap_report,
     orbit,
-    rotation_orbit,
     sigma_recursion,
     three_gap_predict,
     verify_dplus2,
@@ -42,10 +41,9 @@ def test_orbit_identity_is_constant():
 
 
 def test_rotation_orbit_fractional_parts():
-    got = rotation_orbit("sqrt(1/2)", 3)
+    # rotations take the direct fractional parts {n * theta}
+    got = orbit(Iet.rotation("sqrt(1/2)"), 3)
     assert np.allclose(got, [0.0, 0.7071067811865476, 0.41421356237309515])
-    # the IET route agrees with the direct fractional parts
-    assert np.allclose(orbit(Iet.rotation("sqrt(1/2)"), 3), got)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +70,7 @@ def test_gap_report_rational_deduplicates():
     assert abs(rep.clusters[0].length - 1 / 3) < 1e-12
     # sigma carries one representative exponent per distinct point
     assert rep.sigma[0] == 0 and len(rep.sigma) == 3
-    pts = rotation_orbit(Fraction(1, 3), 7)
+    pts = orbit(Iet.rotation(Fraction(1, 3)), 7)
     for k, exp in enumerate(rep.sigma):
         assert abs(pts[exp] - rep.points[k]) <= rep.eps
 
@@ -169,7 +167,7 @@ def test_sigma_recursion_examples():
 
 
 def test_sigma_recursion_matches_sorting_permutation():
-    s = tuple(int(v) for v in np.argsort(rotation_orbit("sqrt(1/2)", 9)))
+    s = tuple(int(v) for v in np.argsort(orbit(Iet.rotation("sqrt(1/2)"), 9)))
     assert s == sigma_recursion(9, 3, 7)
 
 
@@ -190,7 +188,7 @@ def test_sigma_recursion_random_oracle(rng):
         if p.is_rational:
             continue
         sigma = sigma_recursion(N, p.lower[1], p.upper[1])
-        assert sigma == tuple(int(v) for v in np.argsort(rotation_orbit(alpha, N)))
+        assert sigma == tuple(int(v) for v in np.argsort(orbit(Iet.rotation(alpha), N)))
 
 
 # ---------------------------------------------------------------------------

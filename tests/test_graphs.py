@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapscope.errors import ConsistencyError, DegenerateOrbitError
-from gapscope.gaps import gap_report, orbit
+from gapscope.gaps import default_cluster_eps, gap_report, orbit
 from gapscope.graphs import (
     GAP,
     LEFT_SLOT,
@@ -188,11 +190,21 @@ def test_forest_lengths_rotation_match_three_gap():
 
 @pytest.mark.parametrize(
     "alpha, N",
-    [("sqrt(1/2)", 10**4), ("sqrt(2/7)", 10**4), ("sqrt(5) - 2", 10**4), ("sqrt(1/2)", 10**5)],
+    [
+        ("sqrt(1/2)", 10**4),
+        ("sqrt(2/7)", 10**4),
+        ("sqrt(5) - 2", 10**4),
+        ("sqrt(1/2)", 10**5),
+        ("sqrt(1/2)", 2 * 10**5),
+        ("demo", 2 * 10**5),  # the demo 3-IET
+    ],
 )
-def test_graph_checks_pass_on_long_rotation_orbits(alpha, N):
-    T = Iet.rotation(alpha)
-    for check in (boshernitzan_bound_check, verify_forest_lengths, outdegree_identity_check):
+def test_graph_checks_pass_on_long_rotation_orbits(alpha, N, demo_iet):
+    T = demo_iet if alpha == "demo" else Iet.rotation(alpha)
+    checks = [verify_forest_lengths, outdegree_identity_check]
+    if N <= 10**5:
+        checks.append(boshernitzan_bound_check)
+    for check in checks:
         out = check(T, N)
         assert out.passed, out.to_json()
 
@@ -249,6 +261,119 @@ def test_forest_verification_and_glue_random(rng):
         for k, w in glued.items():
             assert abs(w - G.edges[k]) < 1e-9
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: both graphs built gap by gap
+# ---------------------------------------------------------------------------
+
+
+def _reference_graphs(T, N):
+    """The per-gap construction: each gap's inverse image is rebuilt piece
+    by piece, and every piece is matched back to gaps and slots by its
+    endpoints under default_cluster_eps(N).  Returns the digraph's edge map
+    and the forest's vertex keys and edges; raises DegenerateOrbitError for
+    a piece that matches no gap or slot."""
+    pts = gap_report(T, N).points
+    tol = default_cluster_eps(N)
+    M, d = len(pts), T.d
+    inv = T.inverse()
+
+    def gap(i):
+        return (pts[i], pts[i + 1]) if i + 1 < M else (pts[-1], 1.0)
+
+    def pieces(left, right):
+        cuts = [c for c in T.alpha[1:-1] if left + tol < c < right - tol]
+        bounds = [left, *cuts, right]
+        out = []
+        for u, v in zip(bounds, bounds[1:]):
+            mid = 0.5 * (u + v)
+            x = inv.apply(mid) - (mid - u)
+            y = x + (v - u)
+            j = bisect_right(pts, x + tol)
+            inner = []
+            while j < M and pts[j] < y - tol:
+                inner.append(pts[j])
+                j += 1
+            seq = [x, *inner, y]
+            out.extend(zip(seq, seq[1:]))
+        return out
+
+    def overlaps(x, y):
+        j = max(min(bisect_right(pts, x + tol) - 1, M - 1), 0)
+        while j < M and gap(j)[0] < y - tol:
+            overlap = min(y, gap(j)[1]) - max(x, gap(j)[0])
+            if overlap > tol:
+                yield j, overlap
+            j += 1
+
+    right_slots = {}
+    for k in range(d):
+        j = bisect_right(pts, T.beta[k] + tol)
+        if j < M:
+            right_slots[k] = (T.beta[k], pts[j])
+    left_slots = {}
+    for k in range(1, d + 1):
+        j = bisect_left(pts, T.beta[k] - tol) - 1
+        if j >= 0:
+            left_slots[k] = (pts[j], T.beta[k])
+
+    def classify(x, y):
+        j = bisect_left(pts, x - tol)
+        if j < M and abs(pts[j] - x) <= tol and abs(gap(j)[1] - y) <= tol:
+            return (GAP, j)
+        for kind, slots in ((RIGHT_SLOT, right_slots), (LEFT_SLOT, left_slots)):
+            for k, (l, r) in slots.items():
+                if abs(l - x) <= tol and abs(r - y) <= tol:
+                    return {(RIGHT_SLOT, 0): (GAP, 0), (LEFT_SLOT, d): (GAP, M - 1)}.get(
+                        (kind, k), (kind, k))
+        return None
+
+    keys = [(GAP, i) for i in range(M)]
+    keys += [(RIGHT_SLOT, k) for k in right_slots if k != 0]
+    keys += [(LEFT_SLOT, k) for k in left_slots if k != d]
+    known = set(keys)
+    edges, forest_edges = {}, []
+    for i in range(M):
+        for x, y in pieces(*gap(i)):
+            for j, overlap in overlaps(x, y):
+                edges[(i, j)] = edges.get((i, j), 0.0) + overlap
+            key = classify(x, y)
+            if key not in known:
+                raise DegenerateOrbitError(f"piece ({x!r}, {y!r}) of gap {i} matches nothing")
+            forest_edges.append(((GAP, i), key, y - x))
+    return edges, keys, forest_edges
+
+
+def _reference_maps():
+    rng = np.random.default_rng(20261018)
+    maps = [
+        ("demo", Iet.new(["sqrt(1/3)", "sqrt(1/2) - sqrt(1/3)", "1 - sqrt(1/2)"], (3, 2, 1))),
+        ("sqrt(1/2)", Iet.rotation("sqrt(1/2)")),
+    ]
+    return maps + [(f"random {d}-IET", random_iet(d, rng)) for d in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("N", [2, 8, 1000, 20_000])
+@pytest.mark.parametrize("name, T", _reference_maps())
+def test_graphs_equal_the_per_gap_reference(name, T, N):
+    eps = default_cluster_eps(N)
+    try:
+        edges, keys, forest_edges = _reference_graphs(T, N)
+    except DegenerateOrbitError:
+        with pytest.raises(DegenerateOrbitError):
+            fgaps_build(T, N)
+        edges = None
+    G = ggaps_build(T, N)
+    if edges is not None:
+        assert set(G.edges) == set(edges)
+        for k, w in edges.items():
+            assert abs(G.edges[k] - w) <= eps, (k, G.edges[k], w)
+        F = fgaps_build(T, N)
+        assert [v.key for v in F.vertices] == keys
+        assert [(s, t) for s, t, _w in F.edges] == [(s, t) for s, t, _w in forest_edges]
+        for (_s, _t, w), (_rs, _rt, rw) in zip(F.edges, forest_edges):
+            assert abs(w - rw) <= eps
 
 
 def test_forest_serialization(demo_iet):

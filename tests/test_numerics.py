@@ -16,12 +16,11 @@ from gapscope.errors import (
 from gapscope.numerics import (
     FareyFraction,
     SurdExpr,
+    _farey_pair_ints,
     decimal_str,
     dilog,
     farey_fractions,
     farey_neighbors,
-    farey_pairs,
-    farey_pairs_covering,
     farey_successor,
     mod_inverse,
     parse_surd,
@@ -144,17 +143,17 @@ def test_successor_agrees_with_enumeration():
 
 
 def test_pairs_covering_full_range_equals_all_pairs():
-    full = list(farey_pairs(30))
-    covered = list(farey_pairs_covering(30, 0.0, 1.0))
-    assert covered == full
+    seq = [(f.a, f.q) for f in farey_fractions(30)]
+    full = [(a1, q1, a2, q2) for (a1, q1), (a2, q2) in zip(seq, seq[1:])]
+    assert list(_farey_pair_ints(30, 0.0, 1.0)) == full
 
 
 def test_pairs_covering_window():
-    arcs = list(farey_pairs_covering(5, 0.3, 0.7))
-    assert arcs[0][0].value <= 0.3 <= arcs[0][1].value
-    assert arcs[-1][0].value <= 0.7 <= arcs[-1][1].value
-    for (l1, u1), (l2, u2) in zip(arcs, arcs[1:]):
-        assert u1 == l2
+    arcs = list(_farey_pair_ints(5, 0.3, 0.7))
+    assert arcs[0][0] / arcs[0][1] <= 0.3 <= arcs[0][2] / arcs[0][3]
+    assert arcs[-1][0] / arcs[-1][1] <= 0.7 <= arcs[-1][2] / arcs[-1][3]
+    for (_, _, a2, q2), (a1, q1, _, _) in zip(arcs, arcs[1:]):
+        assert (a2, q2) == (a1, q1)
 
 
 # ---------------------------------------------------------------------------
