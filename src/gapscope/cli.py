@@ -192,14 +192,15 @@ def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
         report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
-    data = report.to_json()
+    # build only what the format prints: the JSON holds three lists of N items
+    data = report.to_json() if fmt == "json" else {}
     if alpha is not None:
         data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
-    rows = [c.to_json() for c in report.clusters]
+    rows = [c.to_json() for c in report.clusters] if fmt == "csv" else None
     text = "\n".join(
         [f"N={n} points={report.num_points} distinct={report.distinct_count}"]
         + [f"  length={c.length!r} count={c.count}" for c in report.clusters]
-    )
+    ) if fmt == "text" else None
     _emit(data, fmt, csv_rows=rows, csv_fields=["length", "count"], text=text)
 
 

@@ -58,14 +58,8 @@ def orbit(T: Iet, N: int) -> np.ndarray:
         raise DomainError(f"orbit length must be >= 1, got {N}")
     if T.d == 2 and T.pi == (2, 1):
         theta = T.lengths[1]
-        pts = np.arange(N, dtype=float) * theta % 1.0
-        return pts
-    pts = np.empty(N, dtype=float)
-    x = 0.0
-    for n in range(N):
-        pts[n] = x
-        x = T.apply(x)
-    return pts
+        return np.arange(N, dtype=float) * theta % 1.0
+    return T.iterate(0.0, N)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +138,11 @@ def cluster_lengths(values: Sequence[float], eps: float) -> tuple[GapCluster, ..
     if len(values) == 0:
         return ()
     svals = np.sort(np.asarray(values, dtype=float))
-    clusters = []
-    start = 0
-    for i in range(1, len(svals) + 1):
-        if i == len(svals) or svals[i] - svals[i - 1] > eps:
-            chunk = svals[start:i]
-            clusters.append(GapCluster(length=float(chunk.mean()), count=int(len(chunk))))
-            start = i
-    return tuple(clusters)
+    bounds = [0, *(np.flatnonzero(np.diff(svals) > eps) + 1).tolist(), len(svals)]
+    return tuple(
+        GapCluster(length=float(svals[a:b].mean()), count=b - a)
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def gap_report(
@@ -193,13 +184,16 @@ def gap_report(
     gaps = np.empty(len(sorted_pts), dtype=float)
     gaps[:-1] = np.diff(sorted_pts)
     gaps[-1] = 1.0 - sorted_pts[-1]
+    # cluster before the tuples exist, so the clustering's temporaries do
+    # not stack on them
+    clusters = cluster_lengths(gaps, eps)
     return GapReport(
         n=N,
         eps=eps,
         points=tuple(float(v) for v in sorted_pts),
         sigma=tuple(int(v) for v in order),
         gaps=tuple(float(v) for v in gaps),
-        clusters=cluster_lengths(gaps, eps),
+        clusters=clusters,
         deduplicated=dedup,
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import itemgetter
@@ -116,12 +117,16 @@ class GapGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def _edge_arrays(self):
+        """(sources, targets, weights) of the edges, as arrays."""
+        E = self.num_edges
+        st = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * E)
+        return st[0::2], st[1::2], np.fromiter(self.edges.values(), dtype=float, count=E)
+
     def degree_table(self):
         """(outdeg, indeg, out_weight, in_weight) arrays, one entry per vertex."""
-        V, E = self.num_vertices, self.num_edges
-        st = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * E)
-        s, t = st[0::2], st[1::2]
-        w = np.fromiter(self.edges.values(), dtype=float, count=E)
+        V = self.num_vertices
+        s, t, w = self._edge_arrays()
         return (
             np.bincount(s, minlength=V),
             np.bincount(t, minlength=V),
@@ -137,27 +142,18 @@ class GapGraph:
         is what invalidates the distinct-weight count; minimal maps
         produce none.
         """
-        outdeg, indeg, _, _ = self.degree_table()
-        ones = set(np.flatnonzero((indeg == 1) & (outdeg == 1)).tolist())
-        succ = {}
-        for (s, t) in self.edges:
-            if s in ones and t in ones:
-                succ[s] = t
-        visited = set()
-        for start in succ:
-            if start in visited:
-                continue
-            path = {}
-            node = start
-            step = 0
-            while node in succ and node not in visited:
-                if node in path:
-                    return True  # closed within the degree-one set
-                path[node] = step
-                step += 1
-                node = succ[node]
-            visited |= path.keys()
-        return False
+        V = self.num_vertices
+        s, t, _ = self._edge_arrays()
+        ones = (np.bincount(s, minlength=V) == 1) & (np.bincount(t, minlength=V) == 1)
+        # succ[v] is v's successor inside the degree-one set, V for none; by
+        # pointer doubling as in _check_forest, a vertex still short of V
+        # after 2**k > V steps leads into a cycle
+        succ = np.full(V + 1, V)
+        keep = ones[s] & ones[t]
+        succ[s[keep]] = t[keep]
+        for _ in range(V.bit_length() + 1):
+            succ = succ[succ]
+        return bool((succ[:V] != V).any())
 
     def to_json(self) -> dict:
         return {
@@ -243,10 +239,10 @@ def outdegree_identity_check(
     The identity presumes the orbit points separate the discontinuities:
     each gap holds at most one genuine discontinuity of the inverse map
     (those split an inverse image) and at most one of the map itself
-    (those bound where the pieces land).  Otherwise two pieces of one
-    inverse image can land in a single gap, the parallel edges merge, and
-    the run is reported not-applicable.  The edge-excess bound holds
-    regardless and is still checked in that case.
+    (those bound where the pieces land), and no two pieces of one inverse
+    image land in one gap, where their edges merge (the ghost splits an
+    inverse image too).  Otherwise the run is reported not-applicable.
+    The edge-excess bound holds regardless and is still checked then.
     """
     report, ghost = _segment(T, N)
     if T.d < 2 or report.deduplicated:
@@ -275,7 +271,11 @@ def outdegree_identity_check(
     # only genuine discontinuities of the inverse split an inverse image
     alphas = inside([T.alpha[k] for k in T.genuine_alpha_indices()])
     betas = inside([T.beta[k] for k in T.genuine_beta_indices()])
-    if alphas.max() > 1 or betas.max() > 1:
+    # a genuine beta inside a gap ends one piece of an inverse image and
+    # starts another; when both pieces come from one gap their edges merge
+    _, _, cut, _, _, source, _ = _atoms(T, pts, report.eps)
+    at = np.flatnonzero(np.isin(cut, T.genuine_beta_indices()))
+    if alphas.max() > 1 or betas.max() > 1 or np.any(source[at] == source[at - 1]):
         if failures:
             return outcome_fail("outdegree-identity", failures, **details)
         return outcome_not_applicable(
@@ -387,14 +387,6 @@ class GapForest:
     vertices: tuple[ForestVertex, ...]
     edges: tuple[tuple, ...]  # (source_key, target_key, weight)
     ghost: float
-
-    def vertex(self, key) -> ForestVertex:
-        return self._index()[key]
-
-    def _index(self):
-        if not hasattr(self, "_by_key"):
-            object.__setattr__(self, "_by_key", {v.key: v for v in self.vertices})
-        return self._by_key
 
     def to_json(self) -> dict:
         return {
@@ -521,24 +513,19 @@ def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> t
     """
     if eps is None:
         eps = default_cluster_eps(forest.n)
-    by_key = {v.key: v for v in forest.vertices}
-    out_count: dict = {}
-    for s, _t, _w in forest.edges:
-        out_count[s] = out_count.get(s, 0) + 1
-
+    # slots, and the first and last gaps, which carry the slot labels of 0 and 1
+    slots = {v.key: v for v in forest.vertices if v.kind != GAP or v.slot_label}
+    count = Counter(map(itemgetter(0), forest.edges))
+    pieces = {s: [] for s, c in count.items() if c >= 2}
     lengths = []
-    for s, c in out_count.items():
-        if c >= 2:
-            total = math.fsum(w for (src, _t, w) in forest.edges if src == s)
-            lengths.append(total)
-    for s, t, _w in forest.edges:
-        if out_count[s] == 1:
-            target = by_key[t]
-            if target.kind != GAP or target.slot_label:
-                lengths.append(target.length)
-    gap_keys = sorted(k for k in by_key if k[0] == GAP)
-    lengths.append(by_key[gap_keys[0]].length)  # first gap (right slot of 0)
-    lengths.append(by_key[gap_keys[-1]].length)  # last gap (left slot of 1)
+    for s, t, w in forest.edges:
+        if s in pieces:
+            pieces[s].append(w)
+        elif t in slots:
+            lengths.append(slots[t].length)
+    lengths += map(math.fsum, pieces.values())
+    ends = sorted(v.index for v in slots.values() if v.kind == GAP)
+    lengths += (slots[(GAP, ends[0])].length, slots[(GAP, ends[-1])].length)
 
     clusters = cluster_lengths(lengths, eps)
     return tuple(c.length for c in clusters)

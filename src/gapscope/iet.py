@@ -12,9 +12,12 @@ inverse map are ``alpha``; T^-1 sends (alpha[i-1], alpha[i]) onto
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import ConsistencyError, DomainError, ValidationError
 from .numerics import DEFAULT_PRECISION, SurdExpr, alpha_float, guard_band, parse_surd
@@ -178,21 +181,29 @@ class Iet:
     def d(self) -> int:
         return len(self.lengths)
 
-    def interval_index(self, x: float) -> int:
-        """0-based index i with x in [beta[i], beta[i+1])."""
+    def apply(self, x: float) -> float:
+        return float(self.iterate(x, 2)[1])
+
+    def iterate(self, x: float, n: int) -> np.ndarray:
+        """The n points x, T x, ..., T^(n-1) x.  This is the one float step
+        of T: ``apply`` is its first step.  x is range-checked once; every
+        later point lies in [0, 1) by the clamp."""
         if not 0.0 <= x < 1.0:
             raise DomainError(f"point {x!r} outside [0, 1)")
-        i = bisect_right(self.beta, x) - 1
-        return min(i, self.d - 1)
-
-    def apply(self, x: float) -> float:
-        y = x + self.shifts[self.interval_index(x)]
-        # guard against the image grazing 1.0 through rounding
-        if y >= 1.0:
-            y = math.nextafter(1.0, 0.0)
-        elif y < 0.0:
-            y = 0.0
-        return y
+        # x lies in [beta[i], beta[i+1]) for i = the number of interior
+        # breakpoints at or below x
+        cuts, shifts = self.beta[1:-1], self.shifts
+        top = math.nextafter(1.0, 0.0)
+        out = array("d", bytes(8 * n))
+        for k in range(n):
+            out[k] = x
+            x += shifts[bisect_right(cuts, x)]
+            # guard against the image grazing 1.0 through rounding
+            if x >= 1.0:
+                x = top
+            elif x < 0.0:
+                x = 0.0
+        return np.frombuffer(out, dtype=float)
 
     def __call__(self, x: float) -> float:
         return self.apply(x)
@@ -254,10 +265,12 @@ class Iet:
     ) -> "KeaneResult":
         """Bounded certificate for the infinite-distinct-orbit condition.
 
-        Pushes every interior discontinuity of the inverse map backwards
-        ``depth`` steps and reports any two orbit points that coincide
-        within ``tol``.  A pass certifies no collision up to the depth; it
-        is not a proof of minimality.
+        Pushes every interior discontinuity alpha_i of the inverse map
+        backwards ``depth`` steps, at a cost of (d - 1)(depth + 1) float
+        steps and one sort of as many floats, and reports the first two
+        neighbours closer than ``tol`` in (x, i, n) order of the points
+        x = T^-n alpha_i as the witness (i, j, n, m).  A pass certifies no
+        collision up to the depth; it is not a proof of minimality.
         """
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
@@ -266,19 +279,19 @@ class Iet:
         if self.d < 2:
             return KeaneResult(satisfied=True, depth=depth, tol=tol)
         inv = self.inverse()
-        labeled = []
-        for i in range(1, self.d):
-            x = self.alpha[i]
-            labeled.append((x, i, 0))
-            for n in range(1, depth + 1):
-                x = inv.apply(x)
-                labeled.append((x, i, n))
-        labeled.sort()
-        for (x1, i, n), (x2, j, m) in zip(labeled, labeled[1:]):
-            if x2 - x1 < tol:
-                return KeaneResult(
-                    satisfied=False, depth=depth, tol=tol, witness=(i, j, n, m)
-                )
+        # row i - 1 holds T^-n alpha_i for n = 0..depth, so a stable sort of
+        # the flat array orders ties by (i, n)
+        points = np.concatenate(
+            [inv.iterate(self.alpha[i], depth + 1) for i in range(1, self.d)]
+        )
+        order = np.argsort(points, kind="stable")
+        close = np.flatnonzero(np.diff(points[order]) < tol)
+        if close.size:
+            k = int(close[0])
+            (i, n), (j, m) = (divmod(int(order[k + c]), depth + 1) for c in (0, 1))
+            return KeaneResult(
+                satisfied=False, depth=depth, tol=tol, witness=(i + 1, j + 1, n, m)
+            )
         return KeaneResult(satisfied=True, depth=depth, tol=tol)
 
     def genuine_alpha_indices(self) -> tuple[int, ...]:

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from gapscope.errors import DomainError
 from gapscope.gaps import (
+    GapCluster,
     GapReport,
     ThreeGapPrediction,
+    cluster_lengths,
+    default_cluster_eps,
     dplus2_bound,
     gap_report,
     orbit,
@@ -119,6 +122,37 @@ def test_gap_report_json_roundtrip(demo_iet):
     rep = gap_report(demo_iet, 8)
     back = GapReport.from_json(rep.to_json())
     assert back == rep
+
+
+# ---------------------------------------------------------------------------
+# Reference: clusters one element at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_clusters(values, eps):
+    """The per-element clustering loop."""
+    if len(values) == 0:
+        return ()
+    svals = np.sort(np.asarray(values, dtype=float))
+    clusters = []
+    start = 0
+    for i in range(1, len(svals) + 1):
+        if i == len(svals) or svals[i] - svals[i - 1] > eps:
+            chunk = svals[start:i]
+            clusters.append(GapCluster(length=float(chunk.mean()), count=int(len(chunk))))
+            start = i
+    return tuple(clusters)
+
+
+def test_cluster_lengths_equals_the_per_element_reference(reference_maps):
+    for T in reference_maps:
+        for N in (2, 50, 500):
+            gaps = np.diff(np.sort(orbit(T, N)))
+            for eps in (0.0, default_cluster_eps(N), 1e-3):
+                assert repr(cluster_lengths(gaps, eps)) == repr(_reference_clusters(gaps, eps))
+    for values in ([], [0.5], [0.1, 0.1, 0.1], (0.3, 0.1, 0.2 + 1e-17), [1.0, 1.0 + 2e-16, 3.0]):
+        for eps in (0.0, 2e-16, 0.15):
+            assert repr(cluster_lengths(values, eps)) == repr(_reference_clusters(values, eps))
 
 
 # ---------------------------------------------------------------------------

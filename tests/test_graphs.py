@@ -9,6 +9,7 @@ from gapscope.errors import ConsistencyError, DegenerateOrbitError
 from gapscope.gaps import default_cluster_eps, gap_report, orbit
 from gapscope.graphs import (
     GAP,
+    GapGraph,
     LEFT_SLOT,
     RIGHT_SLOT,
     boshernitzan_bound_check,
@@ -75,6 +76,47 @@ def test_rational_rotation_graph_has_isolated_cycle():
     assert G.has_distinct_cycle()
 
 
+def _reference_has_distinct_cycle(G):
+    """The walk over the degree-one successor dict."""
+    outdeg, indeg, _, _ = G.degree_table()
+    ones = set(np.flatnonzero((indeg == 1) & (outdeg == 1)).tolist())
+    succ = {s: t for (s, t) in G.edges if s in ones and t in ones}
+    visited = set()
+    for start in succ:
+        path = set()
+        node = start
+        while node in succ and node not in visited:
+            if node in path:
+                return True
+            path.add(node)
+            node = succ[node]
+        visited |= path
+    return False
+
+
+def test_has_distinct_cycle_equals_the_walk(reference_maps):
+    found = 0
+    for T in reference_maps[::2]:
+        for N in (2, 7, 60):
+            G = ggaps_build(T, N)
+            assert G.has_distinct_cycle() == _reference_has_distinct_cycle(G), (T, N)
+            found += G.has_distinct_cycle()
+    assert found > 0
+    # hand-made graphs: a cycle beside a chain, a self-loop, a chain alone,
+    # and a cycle broken by a vertex of in-degree two
+    for edges, cyclic in (
+        ({(0, 1): 0.1, (1, 2): 0.1, (2, 0): 0.1, (3, 4): 0.1}, True),
+        ({(0, 0): 0.5, (1, 2): 0.5}, True),
+        ({(0, 1): 0.2, (1, 2): 0.2, (2, 3): 0.2}, False),
+        ({(0, 1): 0.2, (1, 2): 0.2, (2, 0): 0.2, (3, 0): 0.2}, False),
+    ):
+        V = 1 + max(max(e) for e in edges)
+        G = GapGraph(n=V, d=2, vertices=((0.0, 1.0),) * V, weights=(1.0 / V,) * V,
+                     edges=edges, ghost=0.0)
+        assert G.has_distinct_cycle() is cyclic
+        assert _reference_has_distinct_cycle(G) is cyclic
+
+
 def test_outdegree_identity_golden_cases(demo_iet):
     assert outdegree_identity_check(Iet.rotation("sqrt(1/2)"), 9).passed
     assert outdegree_identity_check(demo_iet, 8).passed
@@ -96,6 +138,25 @@ def test_outdegree_identity_unseparated_is_not_applicable():
     T = Iet.new([0.896684, 0.010871, 0.016543, 0.075902], (3, 1, 4, 2), normalize=True)
     out = outdegree_identity_check(T, 90)
     assert out.status == "not_applicable"
+
+
+def test_outdegree_identity_ghost_beside_a_discontinuity_is_not_applicable():
+    # at N = 2 gap 0 = [0, 0.567) holds the ghost 0.412 and alpha_1 = 0.279:
+    # three pieces of its inverse image, two of them in gap 1
+    T = Iet.new([0.4334, 0.2875, 0.2791], (3, 2, 1), normalize=True)
+    assert outdegree_identity_check(T, 2).status == "not_applicable"
+    assert outdegree_identity_check(T, 3).passed
+    assert outdegree_identity_check(T, 50).passed
+
+
+def test_outdegree_identity_never_fails_on_short_random_orbits():
+    rng = np.random.default_rng(7)
+    for d in range(2, 7):
+        for _ in range(24):
+            T = random_iet(d, rng)
+            for N in (2, 3):
+                out = outdegree_identity_check(T, N)
+                assert out.status != "fail", (T, N, out.to_json())
 
 
 def test_boshernitzan_bound_cases(demo_iet):
@@ -201,10 +262,7 @@ def test_forest_lengths_rotation_match_three_gap():
 )
 def test_graph_checks_pass_on_long_rotation_orbits(alpha, N, demo_iet):
     T = demo_iet if alpha == "demo" else Iet.rotation(alpha)
-    checks = [verify_forest_lengths, outdegree_identity_check]
-    if N <= 10**5:
-        checks.append(boshernitzan_bound_check)
-    for check in checks:
+    for check in (verify_forest_lengths, outdegree_identity_check, boshernitzan_bound_check):
         out = check(T, N)
         assert out.passed, out.to_json()
 

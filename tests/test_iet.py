@@ -1,13 +1,17 @@
 import math
+from bisect import bisect_right
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gapscope.errors import DomainError, ValidationError
+from gapscope.gaps import orbit
 from gapscope.iet import (
     Iet,
+    KeaneResult,
     is_arc_exchange,
     is_irreducible,
     parse_permutation,
@@ -81,7 +85,7 @@ def test_apply_matches_displayed_formula(rng):
         d = int(rng.integers(2, 9))
         T = Iet.new(random_lengths(rng, d), random_perm(rng, d), normalize=True)
         for x in rng.uniform(0, 1, 40):
-            i = T.interval_index(float(x))
+            i = bisect_right(T.beta, float(x)) - 1
             expect = (
                 x
                 - sum(T.lengths[:i])
@@ -221,6 +225,96 @@ def test_keane_satisfied_for_demo_iet(demo_iet):
 
 def test_keane_identity_is_vacuous():
     assert Iet.identity().keane_check(depth=5).satisfied
+
+
+# ---------------------------------------------------------------------------
+# Reference: the float-step kernel and the Keane check, one apply at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_apply(T, x):
+    """One step: the interval index, one shift, and the clamp."""
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"point {x!r} outside [0, 1)")
+    y = x + T.shifts[min(bisect_right(T.beta, x) - 1, T.d - 1)]
+    if y >= 1.0:
+        y = math.nextafter(1.0, 0.0)
+    elif y < 0.0:
+        y = 0.0
+    return y
+
+
+def _reference_iterate(T, x, n):
+    out = []
+    for _ in range(n):
+        out.append(x)
+        x = _reference_apply(T, x)
+    return np.array(out, dtype=float)
+
+
+def _reference_keane(T, depth, tol=None):
+    """The check as a sort of (x, i, n) tuples, one apply per step."""
+    if tol is None:
+        tol = 1e-10 / T.d
+    if T.d < 2:
+        return KeaneResult(satisfied=True, depth=depth, tol=tol)
+    inv = T.inverse()
+    labeled = []
+    for i in range(1, T.d):
+        x = T.alpha[i]
+        labeled.append((x, i, 0))
+        for n in range(1, depth + 1):
+            x = _reference_apply(inv, x)
+            labeled.append((x, i, n))
+    labeled.sort()
+    for (x1, i, n), (x2, j, m) in zip(labeled, labeled[1:]):
+        if x2 - x1 < tol:
+            return KeaneResult(satisfied=False, depth=depth, tol=tol, witness=(i, j, n, m))
+    return KeaneResult(satisfied=True, depth=depth, tol=tol)
+
+
+@pytest.mark.parametrize("depth", [1, 7, 300])
+def test_keane_check_equals_the_tuple_sort_reference(reference_maps, depth):
+    failed = 0
+    for T in reference_maps:
+        got, ref = T.keane_check(depth=depth), _reference_keane(T, depth)
+        assert (got.satisfied, got.witness, got.tol, got.depth) == (
+            ref.satisfied, ref.witness, ref.tol, ref.depth), T
+        failed += not ref.satisfied
+    # rational maps fail with a witness at every depth (17 of them at depth 1)
+    assert failed >= 17
+
+
+def test_keane_check_with_tolerance_equals_the_reference(reference_maps):
+    for T in reference_maps[::7]:
+        for tol in (0.0, 1e-3):
+            assert T.keane_check(depth=50, tol=tol) == _reference_keane(T, 50, tol), T
+
+
+def test_iterate_equals_the_apply_loop(reference_maps):
+    for T in reference_maps:
+        for x in (0.0, *T.alpha[1:-1], T.beta[-2]):
+            got = T.iterate(x, 500)
+            assert got.dtype == float and got.shape == (500,)
+            assert got.tobytes() == _reference_iterate(T, x, 500).tobytes(), (T, x)
+            assert T.apply(x) == _reference_apply(T, x)
+
+
+def test_iet_orbit_equals_the_apply_loop(reference_maps):
+    for T in reference_maps:
+        if T.pi != (2, 1):  # rotations take the fractional parts {n * theta}
+            assert orbit(T, 2000).tobytes() == _reference_iterate(T, 0.0, 2000).tobytes(), T
+
+
+def test_iterate_edge_cases(demo_iet):
+    assert demo_iet.iterate(0.3, 0).shape == (0,)
+    assert demo_iet.iterate(0.3, 1).tolist() == [0.3]
+    top = math.nextafter(1.0, 0.0)
+    for T in (demo_iet, Iet.rotation(0.25), Iet.identity()):
+        assert T.iterate(top, 40).tobytes() == _reference_iterate(T, top, 40).tobytes()
+    for x in (1.0, -0.1, -1e-300, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            demo_iet.iterate(x, 3)
 
 
 # ---------------------------------------------------------------------------
