@@ -133,10 +133,31 @@ def _parse_z_grid(text: str) -> list[float]:
     return out
 
 
+def _dumps(data: dict) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent the stdlib encodes in pure Python, and a gap report's
+    three lists of N numbers would take most of the op.  So every top-level
+    list of plain ints and floats goes through the C encoder (no indent) and
+    is cut into one item per line; every other value takes the stdlib path.
+    """
+    if not data or not all(type(k) is str for k in data):
+        return json.dumps(data, sort_keys=True, indent=2)
+    parts = []
+    for key in sorted(data):
+        value = data[key]
+        if type(value) is list and value and {type(x) for x in value} <= {int, float}:
+            body = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        else:
+            body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        parts.append(f"{json.dumps(key)}: {body}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
 def _emit(data: dict, fmt: str, csv_rows=None, csv_fields=None, text=None):
     """Print one report in the requested format."""
     if fmt == "json":
-        click.echo(json.dumps(data, sort_keys=True, indent=2))
+        click.echo(_dumps(data))
     elif fmt == "csv":
         if csv_rows is None:
             raise click.UsageError("csv output is not defined for this command")
@@ -147,7 +168,7 @@ def _emit(data: dict, fmt: str, csv_rows=None, csv_fields=None, text=None):
             writer.writerow(row)
         click.echo(buf.getvalue(), nl=False)
     else:
-        click.echo(text if text is not None else json.dumps(data, sort_keys=True, indent=2))
+        click.echo(text if text is not None else _dumps(data))
 
 
 def _finish_verification(outcome: VerificationOutcome, fmt: str):
@@ -188,6 +209,8 @@ def main():
 def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
     """Sorted-orbit gap report with distinct-length clusters."""
     T = _require_map(alpha, iet_path)
+    if iet_path is not None and precision is not None:
+        raise click.UsageError("--precision applies to --alpha only; an IET spec has none to set")
     try:
         report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:

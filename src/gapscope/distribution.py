@@ -41,7 +41,7 @@ def gap_counting(
         raise DomainError(f"threshold must be >= 0, got {z}")
     if report is None:
         report = gap_report(T, N)
-    return sum(1 for g in report.gaps if N * g >= z)
+    return int(np.count_nonzero(N * report.gaps >= z))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def _avg_gap_iet_values(T, a, b, z_values, N, grid, bits=DEFAULT_PRECISION):
         except GapscopeError:
             continue
         used += 1
-        gaps = np.asarray(rep.gaps) * N
+        gaps = rep.gaps * N
         for i, z in enumerate(z_values):
             totals[i] += float(np.count_nonzero(gaps >= z)) / N
     if used == 0:

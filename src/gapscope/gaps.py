@@ -76,24 +76,44 @@ class GapCluster:
         return {"length": self.length, "count": self.count}
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype (no copy when it already is one)."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class GapReport:
     """Sorted orbit points, sorting permutation, gap multiset, and the
     distinct-length clusters under the tolerance ``eps``.
 
-    ``sigma[k]`` is the orbit exponent whose point is the k-th smallest;
-    for deduplicated (periodic) orbits it lists, per distinct point, the
-    exponent of the member kept as representative.  ``gaps[k]`` is the gap
-    to the right of the k-th point, the last one wrapping around to 1.
+    ``points``, ``sigma`` and ``gaps`` are read-only numpy arrays (float64,
+    int64, float64).  ``sigma[k]`` is the orbit exponent whose point is the
+    k-th smallest; for deduplicated (periodic) orbits it lists, per distinct
+    point, the exponent of the member kept as representative.  ``gaps[k]``
+    is the gap to the right of the k-th point, the last one wrapping around
+    to 1.
     """
 
     n: int
     eps: float
-    points: tuple[float, ...]
-    sigma: tuple[int, ...]
-    gaps: tuple[float, ...]
+    points: np.ndarray
+    sigma: np.ndarray
+    gaps: np.ndarray
     clusters: tuple[GapCluster, ...]
     deduplicated: bool
+
+    def __eq__(self, other):
+        if not isinstance(other, GapReport):
+            return NotImplemented
+        return (self.n, self.eps, self.clusters, self.deduplicated) == (
+            other.n, other.eps, other.clusters, other.deduplicated
+        ) and all(
+            np.array_equal(a, b)
+            for a, b in zip((self.points, self.sigma, self.gaps),
+                            (other.points, other.sigma, other.gaps))
+        )
 
     @property
     def num_points(self) -> int:
@@ -104,7 +124,7 @@ class GapReport:
         return len(self.clusters)
 
     def gap_sum(self) -> float:
-        return math.fsum(self.gaps)
+        return math.fsum(self.gaps.tolist())
 
     def to_json(self) -> dict:
         return {
@@ -112,9 +132,9 @@ class GapReport:
             "kind": "gap_report",
             "n": self.n,
             "eps": self.eps,
-            "points": list(self.points),
-            "sigma": list(self.sigma),
-            "gaps": list(self.gaps),
+            "points": self.points.tolist(),
+            "sigma": self.sigma.tolist(),
+            "gaps": self.gaps.tolist(),
             "clusters": [c.to_json() for c in self.clusters],
             "deduplicated": self.deduplicated,
         }
@@ -124,9 +144,9 @@ class GapReport:
         return GapReport(
             n=data["n"],
             eps=data["eps"],
-            points=tuple(data["points"]),
-            sigma=tuple(data["sigma"]),
-            gaps=tuple(data["gaps"]),
+            points=_frozen(data["points"], np.float64),
+            sigma=_frozen(data["sigma"], np.int64),
+            gaps=_frozen(data["gaps"], np.float64),
             clusters=tuple(GapCluster(c["length"], c["count"]) for c in data["clusters"]),
             deduplicated=data["deduplicated"],
         )
@@ -184,16 +204,13 @@ def gap_report(
     gaps = np.empty(len(sorted_pts), dtype=float)
     gaps[:-1] = np.diff(sorted_pts)
     gaps[-1] = 1.0 - sorted_pts[-1]
-    # cluster before the tuples exist, so the clustering's temporaries do
-    # not stack on them
-    clusters = cluster_lengths(gaps, eps)
     return GapReport(
         n=N,
         eps=eps,
-        points=tuple(float(v) for v in sorted_pts),
-        sigma=tuple(int(v) for v in order),
-        gaps=tuple(float(v) for v in gaps),
-        clusters=clusters,
+        points=_frozen(sorted_pts, np.float64),
+        sigma=_frozen(order, np.int64),
+        gaps=_frozen(gaps, np.float64),
+        clusters=cluster_lengths(gaps, eps),
         deduplicated=dedup,
     )
 
@@ -368,11 +385,10 @@ def verify_three_gap(
                 {"what": "distinct points", "expected": pred.q, "got": report.num_points}
             )
     else:
-        sigma = sigma_recursion(N, pred.lower[1], pred.upper[1])
-        if tuple(report.sigma) != sigma:
-            failures.append(
-                {"what": "sigma", "expected": list(sigma), "got": list(report.sigma)}
-            )
+        sigma = list(sigma_recursion(N, pred.lower[1], pred.upper[1]))
+        got = report.sigma.tolist()
+        if got != sigma:
+            failures.append({"what": "sigma", "expected": sigma, "got": got})
 
     details = {"alpha": str(coerce_alpha(alpha)[0]), "n": N, "eps": eps, "case": pred.kind}
     if failures:

@@ -194,7 +194,7 @@ def ggaps_build(T: Iet, N: int) -> GapGraph:
 def _ggaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapGraph:
     """One edge source -> target per distinct pair over the atoms, weighted
     by the total length of its atoms."""
-    pts = np.asarray(report.points)
+    pts = report.points
     M = len(pts)
     left, right, _, _, target, source, _ = _atoms(T, pts, report.eps)
     pairs, which = np.unique(source * M + target, return_inverse=True)
@@ -254,7 +254,7 @@ def outdegree_identity_check(
         )
     if graph is None:
         graph = _ggaps(T, N, report, ghost)
-    pts = np.asarray(report.points)
+    pts = report.points
 
     def inside(xs) -> np.ndarray:
         """How many of xs each gap holds in its interior."""
@@ -430,7 +430,7 @@ def _fgaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapForest:
     order of the atoms' images.  An atom between two orbit points (or from
     the last one to 1) is a gap; one that starts at beta_k is right slot k,
     one that ends at beta_k left slot k."""
-    pts = np.asarray(report.points)
+    pts = report.points
     M, d = len(pts), T.d
     left, right, cut, end, target, source, image = _atoms(T, pts, report.eps)
     stray = np.flatnonzero((cut >= 1) & (end >= 1))
@@ -604,7 +604,7 @@ def classify_ghost_case(T: Iet, N: int) -> Optional[str]:
     plain interior gap (I).  None when the ghost sits on an orbit point
     (degenerate)."""
     report, ghost = _segment(T, N)
-    pts = np.asarray(report.points)
+    pts = report.points
     (i,), (on_point,) = _locate(pts, [ghost], report.eps)
     if on_point:
         return None

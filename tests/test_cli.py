@@ -4,9 +4,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gapscope.cli import main
-from gapscope.gaps import GapReport, ThreeGapPrediction
+from gapscope import gaps as gaps_module
+from gapscope.cli import _dumps, main
+from gapscope.gaps import GapReport, ThreeGapPrediction, gap_report
 from gapscope.distribution import DistributionCurve
 from gapscope.zipper import ZipperedRectangles
 
@@ -187,6 +190,20 @@ def test_verify_failure_exits_one(runner):
     assert data["status"] == "fail" and data["failures"]
 
 
+def test_verify_sigma_mismatch_exits_one_with_int_sigma(runner, monkeypatch):
+    real = gaps_module.sigma_recursion
+    monkeypatch.setattr(
+        gaps_module, "sigma_recursion", lambda N, q1, q2: real(N, q1, q2)[::-1]
+    )
+    result = runner.invoke(
+        main, ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--format", "json"]
+    )
+    assert result.exit_code == 1
+    (failure,) = json.loads(result.output)["failures"]
+    assert failure["what"] == "sigma"
+    assert all(type(v) is int for v in failure["got"] + failure["expected"])
+
+
 def test_verify_dplus2_and_forest(runner, iet_spec_file):
     assert runner.invoke(main, ["verify", "dplus2", "--iet", iet_spec_file, "--n", "8"]).exit_code == 0
     assert runner.invoke(main, ["verify", "forest", "--iet", iet_spec_file, "--n", "8"]).exit_code == 0
@@ -215,6 +232,7 @@ def test_unknown_flag_exits_two(runner):
         ["verify", "forest", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
         ["verify", "dplus2", "--iet", "IET", "--n", "8", "--precision", "80"],
         ["dist", "--z", "0.5", "--n", "20", "--precision", "80"],
+        ["gaps", "--iet", "IET", "--n", "8", "--precision", "80"],
     ],
 )
 def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):
@@ -244,3 +262,39 @@ def test_env_precision_default(runner, monkeypatch):
     monkeypatch.setenv("GAPSCOPE_PRECISION", "not-a-number")
     result = runner.invoke(main, ["predict", "--alpha", "sqrt(1/2)", "--n", "9"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# The JSON emitter
+# ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), float("-inf")]),
+)
+TEXT = st.one_of(st.text(max_size=6), st.sampled_from([", ", "a, b", ",\n", "\u00e9, 1"]))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, TEXT)
+VALUES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=12,
+)
+TOP_VALUES = st.one_of(
+    st.lists(NUMBERS, max_size=8),
+    st.lists(st.one_of(NUMBERS, st.booleans()), max_size=8),
+    st.lists(TEXT, max_size=8),
+    st.lists(st.dictionaries(TEXT, NUMBERS, max_size=3), max_size=3),
+    VALUES,
+)
+
+
+@given(st.dictionaries(TEXT, TOP_VALUES, max_size=6)
+       | st.dictionaries(st.integers(), TOP_VALUES, max_size=3))
+def test_emitter_equals_stdlib_indented_dumps(data):
+    assert _dumps(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_emitter_equals_stdlib_on_gap_report(demo_iet):
+    data = gap_report(demo_iet, 50).to_json()
+    assert _dumps(data) == json.dumps(data, sort_keys=True, indent=2)

@@ -124,6 +124,22 @@ def test_gap_report_json_roundtrip(demo_iet):
     assert back == rep
 
 
+@pytest.mark.parametrize(
+    "alpha, N, raw", [("sqrt(1/2)", 9, False), (Fraction(1, 3), 7, False), (Fraction(1, 3), 7, True)]
+)
+def test_gap_report_fields_are_read_only_arrays(alpha, N, raw):
+    rep = gap_report(Iet.rotation(alpha), N, keep_duplicates=raw)
+    data = rep.to_json()
+    for r in (rep, GapReport.from_json(data)):
+        for field, dtype in (("points", np.float64), ("sigma", np.int64), ("gaps", np.float64)):
+            arr = getattr(r, field)
+            assert isinstance(arr, np.ndarray) and arr.dtype == dtype
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert all(type(v) is float for v in data["points"] + data["gaps"])
+    assert all(type(v) is int for v in data["sigma"])
+
+
 # ---------------------------------------------------------------------------
 # Reference: clusters one element at a time
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_forest_chain_and_split_structure(demo_iet):
     t = orbit_points(demo_iet, 8)
 
     def gap_key(value):
-        return (GAP, pts.index(min(pts, key=lambda p: abs(p - value))))
+        return (GAP, pts.tolist().index(min(pts, key=lambda p: abs(p - value))))
 
     def targets(key):
         return [e[1] for e in F.edges if e[0] == key]
