@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 from .distribution import (
     DistributionCurve,
     arc_cutoff_kernel,
-    avg_gap_iet,
     avg_gap_rotation_exact,
     farey_arc_sum,
-    gap_counting,
     iet_curve,
     limit_curve,
     limit_gap_distribution,
-    omega_integral,
     rotation_curve,
     verify_distribution_convergence,
 )
@@ -53,28 +50,23 @@ from .graphs import (
     fgaps_build,
     gap_lengths_from_forest,
     ggaps_build,
-    glue_forest,
     outdegree_identity_check,
     verify_forest_lengths,
 )
 from .iet import (
     Iet,
     KeaneResult,
-    SurfaceInvariants,
     is_arc_exchange,
     is_irreducible,
     parse_permutation,
     perm_inverse,
     random_iet,
-    singularity_at_origin,
-    surface_invariants,
 )
 from .numerics import (
     FareyBracket,
     FareyFraction,
     SurdExpr,
     dilog,
-    farey_fractions,
     farey_neighbors,
     farey_successor,
     mod_inverse,
@@ -83,10 +75,7 @@ from .numerics import (
 from .outcomes import VerificationOutcome
 from .zipper import (
     ZipperedRectangles,
-    arc_parameter,
     check_gap_zipper_correspondence,
-    cutoff_d,
     cutoff_f,
-    zipper_arc_param,
     zipper_torus,
 )

@@ -209,8 +209,8 @@ def main():
 def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
     """Sorted-orbit gap report with distinct-length clusters."""
     T = _require_map(alpha, iet_path)
-    if iet_path is not None and precision is not None:
-        raise click.UsageError("--precision applies to --alpha only; an IET spec has none to set")
+    if precision is not None and (iet_path is not None or fmt != "json"):
+        raise click.UsageError("--precision applies to --alpha with --format json only")
     try:
         report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:

@@ -1,7 +1,6 @@
-"""Gap-counting statistics: the finite-N counting function, the exact
-per-arc average over rotation numbers, empirical averages for IET-rotation
-compositions, the closed-form limiting distribution, and the consistency
-between Farey-arc summation and the limiting integral over the region
+"""Gap-counting statistics: the exact per-arc average over rotation
+numbers, empirical averages for IET-rotation compositions, the closed-form
+limiting distribution, and Farey-arc sums of kernels on the region
 Omega = {(x, y) in (0,1]^2 : x + y > 1}.
 
 The exact average needs no quadrature: on each Farey arc the rectangle
@@ -15,33 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GapscopeError
-from .gaps import GapReport, gap_report
+from .gaps import gap_report
 from .iet import Iet
-from .numerics import DEFAULT_PRECISION, _farey_pair_ints, dilog, farey_arc_blocks
+from .numerics import _farey_pair_ints, dilog, farey_arc_blocks
 from .outcomes import VerificationOutcome, outcome_fail, outcome_pass
 
 SIX_OVER_PI_SQ = 6.0 / (math.pi * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# Counting
-# ---------------------------------------------------------------------------
-
-
-def gap_counting(
-    T: Iet, N: int, z: float, report: Optional[GapReport] = None
-) -> int:
-    """Number of normalized gap lengths N*gap >= z in the orbit segment."""
-    if z < 0:
-        raise DomainError(f"threshold must be >= 0, got {z}")
-    if report is None:
-        report = gap_report(T, N)
-    return int(np.count_nonzero(N * report.gaps >= z))
 
 
 # ---------------------------------------------------------------------------
@@ -165,28 +148,10 @@ def avg_gap_rotation_exact(a: float, b: float, z: float, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def avg_gap_iet(
-    T: Iet,
-    a: float,
-    b: float,
-    z: float,
-    N: int,
-    grid: int,
-    bits: int = DEFAULT_PRECISION,
-) -> float:
-    """Midpoint-rule average of the normalized gap count of T o R_alpha
-    over ``grid`` equispaced alpha in [a, b].
-
-    Grid points where the composition degenerates (zero-length pieces
-    collapsing below the drop threshold, orbit collisions) are skipped.
-    No closed arc decomposition is available for general T, so this is a
-    quadrature, with error O((b-a)/grid) times the integrand variation.
-    """
-    values = _avg_gap_iet_values(T, a, b, [z], N, grid, bits)
-    return values[0]
-
-
-def _avg_gap_iet_values(T, a, b, z_values, N, grid, bits=DEFAULT_PRECISION):
+def _avg_gap_iet_values(T, a, b, z_values, N, grid):
+    """Midpoint-rule averages of the normalized gap count of T o R_alpha
+    over ``grid`` equispaced alpha in [a, b], one per z.  Grid points where
+    the composition degenerates are skipped."""
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"invalid averaging range [{a}, {b}]")
     if grid < 1:
@@ -199,7 +164,7 @@ def _avg_gap_iet_values(T, a, b, z_values, N, grid, bits=DEFAULT_PRECISION):
         if alpha <= 0.0 or alpha >= 1.0:
             continue
         try:
-            comp = T.compose_rotation(alpha, bits=bits)
+            comp = T.compose_rotation(alpha)
             rep = gap_report(comp, N)
         except GapscopeError:
             continue
@@ -260,7 +225,7 @@ def limit_gap_distribution(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Farey-arc sums and the Omega integral
+# Farey-arc sums
 # ---------------------------------------------------------------------------
 
 
@@ -274,35 +239,11 @@ def arc_cutoff_kernel(z: float) -> Callable[[float, float], float]:
     """
 
     def F(x: float, y: float) -> float:
-        _require_omega(x, y)
+        if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0 and x + y > 1.0):
+            raise DomainError(f"({x}, {y}) lies outside Omega")
         return _arc_cutoff_integral(x, y, z, 0.0, 1.0) / (x * y)
 
     return F
-
-
-def aggregate_cutoff_kernel(
-    f: Callable[[float, float, float, float, float, float], float], panels: int = 2048
-) -> Callable[[float, float], float]:
-    """Kernel for an arbitrary aggregate cut-off f(w1, w2, w3, h1, h2, h3),
-    with the t-integral done by midpoint rule (``panels`` panels).  The
-    closed form :func:`arc_cutoff_kernel` should be preferred for the
-    standard height cut-off."""
-
-    def F(x: float, y: float) -> float:
-        _require_omega(x, y)
-        w1, w2, w3 = 1.0 - x, x + y - 1.0, 1.0 - y
-        acc = 0.0
-        for j in range(panels):
-            t = (j + 0.5) / panels
-            acc += f(w1, w2, w3, t / y, (1.0 / y - 1.0 / x) * t + 1.0 / x, (1.0 - t) / x)
-        return acc / panels / (x * y)
-
-    return F
-
-
-def _require_omega(x: float, y: float) -> None:
-    if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0 and x + y > 1.0):
-        raise DomainError(f"({x}, {y}) lies outside Omega")
 
 
 def farey_arc_sum(
@@ -324,59 +265,6 @@ def farey_arc_sum(
             raise DomainError(f"kernel returned non-finite value at ({a1}/{q1}, {a2}/{q2})")
         parts.append(val * inv_n2)
     return math.fsum(parts) / (b - a)
-
-
-# 5- and 9-point Gauss-Legendre nodes/weights on [0, 1]
-_G5_NODES, _G5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_G5_NODES = tuple((_G5_NODES + 1.0) / 2.0)
-_G5_WEIGHTS = tuple(_G5_WEIGHTS / 2.0)
-_G9_NODES, _G9_WEIGHTS = np.polynomial.legendre.leggauss(9)
-_G9_NODES = tuple((_G9_NODES + 1.0) / 2.0)
-_G9_WEIGHTS = tuple(_G9_WEIGHTS / 2.0)
-
-
-def _tensor_gauss(g, u0, u1, v0, v1, nodes, weights):
-    du, dv = u1 - u0, v1 - v0
-    acc = 0.0
-    for nu, wu in zip(nodes, weights):
-        u = u0 + nu * du
-        row = 0.0
-        for nv, wv in zip(nodes, weights):
-            row += wv * g(u, v0 + nv * dv)
-        acc += wu * row
-    return acc * du * dv
-
-
-def _adaptive_2d(g, u0, u1, v0, v1, tol, depth):
-    coarse = _tensor_gauss(g, u0, u1, v0, v1, _G5_NODES, _G5_WEIGHTS)
-    fine = _tensor_gauss(g, u0, u1, v0, v1, _G9_NODES, _G9_WEIGHTS)
-    if abs(fine - coarse) <= tol or depth <= 0:
-        return fine
-    um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
-    quarter = tol / 4.0
-    return (
-        _adaptive_2d(g, u0, um, v0, vm, quarter, depth - 1)
-        + _adaptive_2d(g, um, u1, v0, vm, quarter, depth - 1)
-        + _adaptive_2d(g, u0, um, vm, v1, quarter, depth - 1)
-        + _adaptive_2d(g, um, u1, vm, v1, quarter, depth - 1)
-    )
-
-
-def omega_integral(
-    F: Callable[[float, float], float], tol: float = 1e-6, max_depth: int = 14
-) -> float:
-    """(6/pi^2) times the integral of F over Omega, by adaptive
-    tensor-product Gauss quadrature with recursive bisection.
-
-    Omega is mapped to the unit square via y = 1 - x + v*x (Jacobian x),
-    which removes the diagonal boundary; the cut-off kernels are C^0 with
-    gradient kinks, which the bisection resolves.
-    """
-    def g(u, v):
-        return F(u, 1.0 - u + v * u) * u
-
-    inner_tol = tol / SIX_OVER_PI_SQ / 2.0
-    return SIX_OVER_PI_SQ * _adaptive_2d(g, 0.0, 1.0, 0.0, 1.0, inner_tol, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ exposes which lengths generate the distinct-gap-length set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -550,29 +549,6 @@ def verify_forest_lengths(T: Iet, N: int) -> VerificationOutcome:
     if failures:
         return outcome_fail("forest-lengths", failures, **details)
     return outcome_pass("forest-lengths", **details)
-
-
-def glue_forest(forest: GapForest, T: Iet) -> dict:
-    """Glue each interior left/right slot pair onto the gap containing its
-    discontinuity; the result is the edge map of the gap digraph."""
-    geo_pts = sorted(v.left for v in forest.vertices if v.kind == GAP)
-    gap_map = {}
-    for v in forest.vertices:
-        if v.kind == GAP:
-            gap_map[v.key] = v.index
-    num_gaps = len(gap_map)
-    pts = tuple(geo_pts)
-    for v in forest.vertices:
-        if v.kind == GAP:
-            continue
-        beta = T.beta[v.index]
-        j = bisect_right(pts, beta) - 1
-        gap_map[v.key] = min(max(j, 0), num_gaps - 1)
-    edges: dict = {}
-    for s, t, w in forest.edges:
-        key = (gap_map[s], gap_map[t])
-        edges[key] = edges.get(key, 0.0) + w
-    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Interval exchange transformations: construction, evaluation, inversion,
 composition with rotations, the infinite-distinct-orbit (Keane) certificate,
-and the combinatorial invariants of the square-gluing suspension surface.
+and the arc-exchange predicate on permutations.
 
 Conventions: an IET exchanges the half-open intervals
 ``[beta[i-1], beta[i])`` (the breakpoints of T) according to a permutation
@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, ValidationError
-from .numerics import DEFAULT_PRECISION, SurdExpr, alpha_float, guard_band, parse_surd
+from .errors import DomainError, ValidationError
+from .numerics import SurdExpr, alpha_float, guard_band, parse_surd
 
 LengthLike = Union[float, int, str, SurdExpr]
 
@@ -100,10 +100,6 @@ def is_arc_exchange(pi: Sequence[int]) -> bool:
         return True
     inv = perm_inverse(pi)
     return inv[0] - inv[d - 1] == 1
-
-
-def singularity_at_origin(pi: Sequence[int]) -> bool:
-    return not is_arc_exchange(pi)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ class Iet:
         lengths = [self.lengths[inv[j - 1] - 1] for j in range(1, self.d + 1)]
         return Iet.new(lengths, inv, normalize=True)
 
-    def compose_rotation(self, angle, bits: int = DEFAULT_PRECISION) -> "Iet":
+    def compose_rotation(self, angle) -> "Iet":
         """The IET realizing x -> T(R_angle(x)), on at most d + 1 intervals.
 
         The rotation's partition is refined by the rotation-preimages of
@@ -224,7 +220,7 @@ class Iet:
         a = alpha_float(angle)
         if not 0.0 < a < 1.0:
             raise DomainError(f"rotation number must lie in (0, 1), got {a}")
-        drop = guard_band(bits)
+        drop = guard_band()
         cuts = {(b - a) % 1.0 for b in self.beta[1:-1]}
         cuts.add((1.0 - a) % 1.0)
         points = sorted(c for c in cuts if drop < c < 1.0 - drop)
@@ -355,114 +351,6 @@ class KeaneResult:
                 "step_m": self.witness[3],
             }
         return out
-
-
-# ---------------------------------------------------------------------------
-# Suspension-surface invariants from the square gluing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    """Vertex data of the unit-square suspension of a permutation.
-
-    ``cone_angles`` lists each vertex class's total angle as a multiple of
-    2*pi (so a regular point is 1).  ``genus`` satisfies
-    sum(angle_i - 1) = 2g - 2.  ``d_S`` is 2g + num_vertices - 1, which for
-    this closed-vertical construction always equals d + 1.
-    """
-
-    cone_angles: tuple[int, ...]
-    genus: int
-    num_vertices: int
-    num_singularities: int
-    d_S: int
-    origin_angle: int  # angle multiple at the class of the marked origin
-
-    def to_json(self) -> dict:
-        return {
-            "cone_angles_over_2pi": list(self.cone_angles),
-            "genus": self.genus,
-            "num_vertices": self.num_vertices,
-            "num_singularities": self.num_singularities,
-            "d_S": self.d_S,
-            "origin_angle_over_2pi": self.origin_angle,
-        }
-
-
-def surface_invariants(pi: Sequence[int]) -> SurfaceInvariants:
-    """Trace the corner cycles of the square gluing.
-
-    Left side partitioned by the alpha breakpoints (slab i carries interval
-    pi^-1(i)), right side by the beta breakpoints; left slab i is glued by
-    translation to right slab pi^-1(i), horizontal sides by translation.
-    Marked points: L_i = (0, alpha_i) and R_j = (1, beta_j), contributing a
-    quarter turn at the four square corners and a half turn elsewhere.
-    """
-    pi = _require_irreducible(pi)
-    d = len(pi)
-    inv = perm_inverse(pi)
-
-    # nodes 0..d are L_0..L_d, nodes d+1..2d+1 are R_0..R_d
-    parent = list(range(2 * d + 2))
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    def L(i):
-        return i
-
-    def R(j):
-        return d + 1 + j
-
-    union(L(0), L(d))
-    union(R(0), R(d))
-    for i in range(1, d + 1):
-        j = inv[i - 1]
-        union(L(i - 1), R(j - 1))
-        union(L(i), R(j))
-
-    # quarter-turn units: corners contribute 1, side-interior points 2
-    units = {}
-    for node in range(2 * d + 2):
-        idx = node if node <= d else node - (d + 1)
-        u = 1 if idx in (0, d) else 2
-        root = find(node)
-        units[root] = units.get(root, 0) + u
-
-    total_units = sum(units.values())
-    if total_units != 4 * d:
-        raise ConsistencyError(f"corner units sum to {total_units}, expected {4 * d}")
-    angles = []
-    for root, u in units.items():
-        if u % 4 != 0:
-            raise ConsistencyError(f"vertex class with {u} quarter turns is not a cone point")
-        angles.append(u // 4)
-    angles.sort(reverse=True)
-
-    excess = sum(a - 1 for a in angles)
-    if excess % 2 != 0:
-        raise ConsistencyError(f"odd total cone excess {excess}")
-    genus = (excess + 2) // 2
-    num_vertices = len(angles)
-    num_singular = sum(1 for a in angles if a > 1)
-    origin_units = units[find(L(0))]
-    return SurfaceInvariants(
-        cone_angles=tuple(angles),
-        genus=genus,
-        num_vertices=num_vertices,
-        num_singularities=num_singular,
-        d_S=2 * genus + num_vertices - 1,
-        origin_angle=origin_units // 4,
-    )
 
 
 # ---------------------------------------------------------------------------

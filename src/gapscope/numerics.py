@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Optional, Union
@@ -40,13 +40,10 @@ def guard_band(bits: int = DEFAULT_PRECISION) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class FareyFraction:
     """A reduced fraction a/q in [0, 1] with q >= 1."""
 
-    # order-by (a*?) -- dataclass order compares (a, q) lexicographically,
-    # which is NOT fraction order; comparisons go through sort_index.
-    sort_index: Fraction = field(init=False, repr=False)
     a: int = 0
     q: int = 1
 
@@ -57,7 +54,6 @@ class FareyFraction:
             raise DomainError(f"{self.a}/{self.q} lies outside [0, 1]")
         if gcd(self.a, self.q) != 1:
             raise DomainError(f"{self.a}/{self.q} is not reduced")
-        object.__setattr__(self, "sort_index", Fraction(self.a, self.q))
 
     @property
     def value(self) -> float:
@@ -629,21 +625,6 @@ def _checked_bracket(expr, inexact, bits, N, exact=None, pair=None) -> FareyBrac
 # ---------------------------------------------------------------------------
 # Farey sequence enumeration
 # ---------------------------------------------------------------------------
-
-
-def farey_fractions(N: int) -> Iterator[FareyFraction]:
-    """All of F(N) in increasing order via the two-term recurrence."""
-    if N < 1:
-        raise DomainError(f"Farey order must be >= 1, got {N}")
-    a0, q0 = 0, 1
-    a1, q1 = 1, N
-    yield FareyFraction(a=a0, q=q0)
-    while (a0, q0) != (1, 1):
-        yield FareyFraction(a=a1, q=q1)
-        if (a1, q1) == (1, 1):
-            break
-        k = (N + q0) // q1
-        a0, q0, a1, q1 = a1, q1, k * a1 - a0, k * q1 - q0
 
 
 def farey_successor(frac: FareyFraction, N: int) -> FareyFraction:

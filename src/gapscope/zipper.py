@@ -1,5 +1,5 @@
 """Zippered-rectangle width/height data of sheared unit-area tori, the
-Iverson cut-off functions on it, and the correspondence check between
+Iverson cut-off function on it, and the correspondence check between
 rectangle parameters and rotation gap structure.
 
 For a horizontal segment of length N over the torus sheared by alpha:
@@ -107,48 +107,9 @@ def zipper_torus(alpha: AlphaLike, N: int, bits: int = 53) -> ZipperedRectangles
     )
 
 
-def zipper_arc_param(q1: int, q2: int, N: int, t: float) -> ZipperedRectangles:
-    """Same data through the arc coordinate alpha = a1/q1 + t/(q1 q2).
-
-    Heights are affine in t: ((N/q2) t, (N/q2 - N/q1) t + N/q1,
-    (N/q1)(1 - t)); widths depend only on the denominators.
-    """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    if not (1 <= q1 <= N and 1 <= q2 <= N and q1 + q2 > N and math.gcd(q1, q2) == 1):
-        raise DomainError(
-            f"({q1}, {q2}) is not a consecutive denominator pair at order {N}"
-        )
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"arc parameter t must lie in (0, 1), got {t}")
-    return ZipperedRectangles(
-        widths=(1.0 - q1 / N, (q1 + q2) / N - 1.0, 1.0 - q2 / N),
-        heights=((N / q2) * t, (N / q2 - N / q1) * t + N / q1, (N / q1) * (1.0 - t)),
-        pi=(3, 2, 1),
-        case="generic",
-    )
-
-
-def arc_parameter(alpha: AlphaLike, N: int) -> tuple[int, int, float]:
-    """(q1, q2, t) with alpha = a1/q1 + t/(q1 q2) on its Farey arc."""
-    bracket = farey_neighbors(alpha, N)
-    if bracket.is_exact:
-        raise DomainError(f"{bracket.exact} is a Farey element, not interior to an arc")
-    q1, q2 = bracket.lower.q, bracket.upper.q
-    A, _ = bracket_offsets(alpha, bracket)
-    return q1, q2, float(q2 * A)
-
-
 # ---------------------------------------------------------------------------
-# Cut-off functions
+# Cut-off function
 # ---------------------------------------------------------------------------
-
-
-def cutoff_d(x: float, y: float, z: float) -> float:
-    """x if y >= z else 0 (width surviving the height cut at z >= 0)."""
-    if z < 0:
-        raise DomainError(f"cutoff level must be >= 0, got {z}")
-    return x if y >= z else 0.0
 
 
 def cutoff_f(zr: ZipperedRectangles, z: float) -> float:

@@ -233,6 +233,8 @@ def test_unknown_flag_exits_two(runner):
         ["verify", "dplus2", "--iet", "IET", "--n", "8", "--precision", "80"],
         ["dist", "--z", "0.5", "--n", "20", "--precision", "80"],
         ["gaps", "--iet", "IET", "--n", "8", "--precision", "80"],
+        ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80", "--format", "text"],
+        ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80", "--format", "csv"],
     ],
 )
 def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):

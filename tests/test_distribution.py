@@ -9,16 +9,12 @@ from gapscope.distribution import (
     DistributionCurve,
     SIX_OVER_PI_SQ,
     _arc_cutoff_integral,
-    aggregate_cutoff_kernel,
     arc_cutoff_kernel,
-    avg_gap_iet,
     avg_gap_rotation_exact,
     farey_arc_sum,
-    gap_counting,
     iet_curve,
     limit_curve,
     limit_gap_distribution,
-    omega_integral,
     rotation_curve,
     verify_distribution_convergence,
 )
@@ -26,20 +22,6 @@ from gapscope.errors import DomainError
 from gapscope.iet import Iet
 from gapscope.numerics import _farey_pair_ints, farey_arc_blocks
 from gapscope.zipper import cutoff_f, zipper_torus
-
-
-# ---------------------------------------------------------------------------
-# Counting
-# ---------------------------------------------------------------------------
-
-
-def test_gap_counting_examples():
-    R = Iet.rotation("sqrt(1/2)")
-    assert gap_counting(R, 9, 0.0) == 9
-    assert gap_counting(R, 9, 1.2) == 1  # only the widest normalized gap
-    assert gap_counting(R, 9, 1.0) == 7  # six short gaps clear 1.0 plus the widest
-    with pytest.raises(DomainError):
-        gap_counting(R, 9, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +186,7 @@ def test_limit_domain():
 
 
 # ---------------------------------------------------------------------------
-# Arc kernel, Farey sums, and the Omega integral
+# Arc kernel, Farey sums, and the integral over Omega
 # ---------------------------------------------------------------------------
 
 
@@ -212,12 +194,6 @@ def test_arc_sum_of_ones_counts_arcs():
     # (#arcs in F(N)) / N^2 approaches 3/pi^2
     val = farey_arc_sum(lambda x, y: 1.0, 300)
     assert abs(val - 3 / math.pi**2) / (3 / math.pi**2) < 0.02
-
-
-def test_omega_integral_of_one():
-    # area of the region is 1/2
-    val = omega_integral(lambda x, y: 1.0)
-    assert abs(val - SIX_OVER_PI_SQ / 2) < 1e-9
 
 
 def test_arc_sum_of_kernel_equals_exact_average():
@@ -229,8 +205,9 @@ def test_arc_sum_of_kernel_equals_exact_average():
 
 def test_arc_sum_converges_to_region_integral():
     # smooth test kernel: the normalized sum approaches the integral
+    # (6/pi^2) times the integral of x + y over Omega, which is 2/3
     F = lambda x, y: x + y
-    target = omega_integral(F, tol=1e-8)
+    target = 4 / math.pi**2
     assert abs(farey_arc_sum(F, 1000) - target) < 1e-2
 
 
@@ -250,18 +227,19 @@ def test_kernel_at_zero_threshold_is_reciprocal_product():
 
 
 def test_kernel_against_midpoint_quadrature():
-    closed = arc_cutoff_kernel(1.0)
-
-    def fz(w1, w2, w3, h1, h2, h3):
-        return (
-            (w1 if h1 >= 1.0 else 0.0)
-            + (w2 if h2 >= 1.0 else 0.0)
-            + (w3 if h3 >= 1.0 else 0.0)
-        )
-
-    numeric = aggregate_cutoff_kernel(fz, panels=400_000)
+    # the unit t-integral of the total width with height >= 1, breaking
+    # where h1 = t/y and h3 = (1-t)/x cross 1
     x, y = 0.5, 0.9
-    assert abs(closed(x, y) - numeric(x, y)) < 1e-8
+    w1, w2, w3 = 1 - x, x + y - 1, 1 - y
+
+    def width_above_one(t):
+        heights = (t / y, (1 / y - 1 / x) * t + 1 / x, (1 - t) / x)
+        return sum(w for w, h in zip((w1, w2, w3), heights) if h >= 1.0)
+
+    numeric, _err = integrate.quad(
+        width_above_one, 0, 1, points=[y, 1 - x], epsabs=1e-13, epsrel=1e-13
+    )
+    assert abs(arc_cutoff_kernel(1.0)(x, y) - numeric / (x * y)) < 1e-10
 
 
 def test_kernel_symmetry_probe():
@@ -271,23 +249,14 @@ def test_kernel_symmetry_probe():
         assert abs(F(x, y) - F(y, x)) < 1e-12
 
 
-def test_omega_integral_of_kernel_matches_limit():
-    z = 0.5
-    val = omega_integral(arc_cutoff_kernel(z), tol=1e-6)
-    assert abs(val - limit_gap_distribution(z)) < 5e-6
-
-
-def test_omega_integral_against_scipy():
-    F = arc_cutoff_kernel(0.5)
-
-    def integrand(y, x):
-        return F(x, y) if x + y > 1 else 0.0
-
-    ref, _err = integrate.dblquad(
-        integrand, 0, 1, lambda x: max(0.0, 1 - x), lambda x: 1.0,
+@pytest.mark.parametrize("z", [0.5, 1.5, 2.5, 4.0])
+def test_region_integral_of_kernel_matches_limit(z):
+    F = arc_cutoff_kernel(z)
+    val, _err = integrate.dblquad(
+        lambda y, x: F(x, y), 0, 1, lambda x: 1 - x, lambda x: 1.0,
         epsabs=1e-9, epsrel=1e-9,
     )
-    assert abs(omega_integral(F) - SIX_OVER_PI_SQ * ref) < 2e-6
+    assert abs(SIX_OVER_PI_SQ * val - limit_gap_distribution(z)) < 1e-8
 
 
 def test_arc_sum_rejects_non_finite_kernels():
@@ -318,13 +287,13 @@ def test_arc_sum_window_restricts_pairs():
 
 
 def test_empirical_identity_matches_exact():
-    em = avg_gap_iet(Iet.identity(), 0.0, 1.0, 0.5, 25, grid=1500)
+    em = iet_curve(Iet.identity(), [0.5], 25, grid=1500).values[0]
     ex = avg_gap_rotation_exact(0, 1, 0.5, 25)
     assert abs(em - ex) < 0.01
 
 
 def test_empirical_at_zero_threshold(demo_iet):
-    val = avg_gap_iet(demo_iet, 0.1, 0.9, 0.0, 60, grid=40)
+    val = iet_curve(demo_iet, [0.0], 60, grid=40, a=0.1, b=0.9).values[0]
     assert val > 0.999
 
 

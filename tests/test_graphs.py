@@ -18,7 +18,6 @@ from gapscope.graphs import (
     fgaps_build,
     gap_lengths_from_forest,
     ggaps_build,
-    glue_forest,
     outdegree_identity_check,
     verify_forest_lengths,
 )
@@ -308,16 +307,11 @@ def test_forest_verification_and_glue_random(rng):
         if not T.keane_check(depth=300).satisfied:
             continue
         try:
-            F = fgaps_build(T, N)
+            fgaps_build(T, N)
         except DegenerateOrbitError:
             skipped += 1
             continue
         assert verify_forest_lengths(T, N).passed, (T, N)
-        G = ggaps_build(T, N)
-        glued = glue_forest(F, T)
-        assert set(glued) == set(G.edges)
-        for k, w in glued.items():
-            assert abs(w - G.edges[k]) < 1e-9
         done += 1
 
 

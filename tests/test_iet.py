@@ -1,6 +1,5 @@
 import math
 from bisect import bisect_right
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from gapscope.iet import (
     parse_permutation,
     perm_inverse,
     random_iet,
-    singularity_at_origin,
-    surface_invariants,
 )
 
 ULP4 = 4 * math.ulp(1.0)
@@ -343,48 +340,8 @@ def test_arc_exchange_predicates():
     assert is_arc_exchange((2, 1))
     assert is_arc_exchange((1,))
     assert not is_arc_exchange((3, 2, 1))
-    assert singularity_at_origin((3, 2, 1))
     with pytest.raises(ValidationError):
         is_arc_exchange((1, 3, 2))
-
-
-def test_surface_invariants_genus_two_example():
-    pi = parse_permutation([[1, 5, 2, 3, 4]], notation="cycles")
-    inv = surface_invariants(pi)
-    assert inv.cone_angles == (3, 1, 1)  # 6*pi, 2*pi, 2*pi
-    assert inv.genus == 2
-    assert inv.num_vertices == 3
-    assert inv.num_singularities == 1
-
-
-def test_surface_invariants_rotation_torus():
-    inv = surface_invariants((2, 1))
-    assert inv.genus == 1
-    assert all(a == 1 for a in inv.cone_angles)
-    assert inv.num_singularities == 0
-
-
-def test_surface_invariants_symmetric_three():
-    inv = surface_invariants((3, 2, 1))
-    assert inv.cone_angles == (3,)
-    assert inv.genus == 2
-
-
-def test_surface_invariants_exhaustive_identities():
-    # every irreducible permutation with d <= 7
-    for d in range(1, 8):
-        for perm in permutations(range(1, d + 1)):
-            if not is_irreducible(perm):
-                continue
-            si = surface_invariants(perm)
-            # total cone angle is 2*pi*d and the excess is the even 2g-2
-            assert sum(si.cone_angles) == d
-            assert sum(a - 1 for a in si.cone_angles) == 2 * si.genus - 2
-            assert si.genus >= 1
-            # closed-vertical suspension: 2g + #vertices - 1 = d + 1 always
-            assert si.d_S == d + 1
-            # origin is regular exactly for arc exchanges
-            assert (si.origin_angle == 1) == is_arc_exchange(perm)
 
 
 def test_genuine_discontinuity_indices():

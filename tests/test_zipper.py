@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from gapscope.errors import DomainError
 from gapscope.zipper import (
     ZipperedRectangles,
-    arc_parameter,
     check_gap_zipper_correspondence,
-    cutoff_d,
     cutoff_f,
-    zipper_arc_param,
     zipper_torus,
 )
 
@@ -39,50 +36,28 @@ def test_zipper_rational_case():
     assert np.allclose(zr2.heights, [2.0, 2.0])
 
 
+def _arc_point(a1, q1, q2, t):
+    """alpha = a1/q1 + t/(q1 q2), exactly: the point at t on the Farey arc
+    that starts at a1/q1 and has q2 as its right denominator."""
+    return Fraction(a1, q1) + Fraction(t) / (q1 * q2)
+
+
 def test_arc_parameter_and_consistency():
-    q1, q2, t = arc_parameter("sqrt(1/2)", 9)
-    assert (q1, q2) == (3, 7)
-    assert abs(t - 21 * (2**-0.5 - 2 / 3)) < 1e-12
-    za = zipper_arc_param(q1, q2, 9, t)
-    zt = zipper_torus("sqrt(1/2)", 9)
-    assert np.allclose(za.widths, zt.widths, atol=1e-14)
-    assert np.allclose(za.heights, zt.heights, atol=1e-12)
-
-
-def test_arc_param_degenerate_level_one():
-    zr = zipper_arc_param(1, 1, 1, 0.5)
-    assert np.allclose(zr.widths, [0.0, 1.0, 0.0])
-    assert np.allclose(zr.heights, [0.5, 1.0, 0.5])
-
-
-def test_arc_param_domain_errors():
-    with pytest.raises(DomainError):
-        zipper_arc_param(2, 2, 2, 0.5)  # gcd > 1: not a neighbor pair
-    with pytest.raises(DomainError):
-        zipper_arc_param(2, 3, 9, 0.5)  # q1 + q2 <= N
-    with pytest.raises(DomainError):
-        zipper_arc_param(3, 7, 9, 0.0)
-    with pytest.raises(DomainError):
-        zipper_arc_param(3, 7, 9, 1.0)
-    with pytest.raises(DomainError):
-        arc_parameter(Fraction(1, 2), 4)  # exact element, no arc
-
-
-def test_arc_endpoint_height_limits():
-    # as t -> 0 the first height collapses and the last tends to N/q1
-    zr = zipper_arc_param(3, 7, 9, 1e-12)
-    assert zr.heights[0] < 1e-11
-    assert abs(zr.heights[2] - 3.0) < 1e-10
+    # heights are affine in the arc coordinate: ((N/q2) t,
+    # (N/q2 - N/q1) t + N/q1, (N/q1)(1 - t)) on the arc (2/3, 5/7) of F(9)
+    q1, q2, N = 3, 7, 9
+    for t in (0.125, 0.5, 0.875):
+        zr = zipper_torus(_arc_point(2, q1, q2, t), N)
+        assert zr.case == "generic"
+        assert zr.widths == (1 - q1 / N, (q1 + q2) / N - 1, 1 - q2 / N)
+        expected = ((N / q2) * t, (N / q2 - N / q1) * t + N / q1, (N / q1) * (1 - t))
+        assert np.allclose(zr.heights, expected, rtol=0, atol=1e-12)
 
 
 def test_cutoff_functions():
-    assert cutoff_d(0.4, 2.0, 0.0) == 0.4
-    assert cutoff_d(0.4, 1.0, 1.5) == 0.0
     zr = zipper_torus("sqrt(1/2)", 9)
     assert abs(cutoff_f(zr, 1.2) - 1 / 9) < 1e-14  # only the middle height clears 1.2
     assert abs(cutoff_f(zr, 0.0) - 1.0) < 1e-12
-    with pytest.raises(DomainError):
-        cutoff_d(1.0, 1.0, -0.5)
     with pytest.raises(DomainError):
         cutoff_f(zr, -1.0)
 
@@ -96,10 +71,8 @@ def test_heights_affine_in_t_three_point_collinearity(rng):
         fb = farey_neighbors(alpha, N)
         if fb.is_exact:
             continue
-        q1, q2 = fb.lower.q, fb.upper.q
-        z1 = zipper_arc_param(q1, q2, N, 0.2)
-        z2 = zipper_arc_param(q1, q2, N, 0.5)
-        z3 = zipper_arc_param(q1, q2, N, 0.8)
+        a1, q1, q2 = fb.lower.a, fb.lower.q, fb.upper.q
+        z1, z2, z3 = (zipper_torus(_arc_point(a1, q1, q2, t), N) for t in (0.25, 0.5, 0.75))
         for h1, h2, h3 in zip(z1.heights, z2.heights, z3.heights):
             assert abs(h2 - 0.5 * (h1 + h3)) < 1e-9
 
