@@ -19,11 +19,10 @@ exposes which lengths generate the distinct-gap-length set.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,46 +91,62 @@ def _atoms(T: Iet, pts: np.ndarray, tol: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapGraph:
-    """Weighted digraph on the orbit gaps.
+class _ReadOnlyArrays:
+    """Makes every array field of a dataclass read-only."""
 
-    ``vertices[i]`` is the (left, right) pair of the i-th gap in sorted
-    order (the last one wraps to 1); ``weights[i]`` its length.  ``edges``
-    maps (i, j) to the measure of (inverse image of gap i) meeting gap j.
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class GapGraph(_ReadOnlyArrays):
+    """Weighted digraph on the orbit gaps, as read-only arrays.
+
+    Gap i is [pts[i], ends[i]) in sorted order (the last one ends at 1).
+    Edge e runs sources[e] -> targets[e], sorted by (source, target), and
+    weighs the measure of (inverse image of its source) meeting its target.
+    ``vertices`` and ``edges`` ((i, j) -> weight) are views built once.
     """
 
     n: int
     d: int
-    vertices: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...]
-    edges: dict
+    pts: np.ndarray
+    ends: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    edge_weights: np.ndarray
     ghost: float
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        weights = self.ends - self.pts
+        weights.setflags(write=False)
+        return weights
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.pts.tolist(), self.ends.tolist()))
+
+    @cached_property
+    def edges(self) -> MappingProxyType:
+        pairs = zip(self.sources.tolist(), self.targets.tolist())
+        return MappingProxyType(dict(zip(pairs, self.edge_weights.tolist())))
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.pts)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    def _edge_arrays(self):
-        """(sources, targets, weights) of the edges, as arrays."""
-        E = self.num_edges
-        st = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * E)
-        return st[0::2], st[1::2], np.fromiter(self.edges.values(), dtype=float, count=E)
+        return len(self.sources)
 
     def degree_table(self):
         """(outdeg, indeg, out_weight, in_weight) arrays, one entry per vertex."""
-        V = self.num_vertices
-        s, t, w = self._edge_arrays()
-        return (
-            np.bincount(s, minlength=V),
-            np.bincount(t, minlength=V),
-            np.bincount(s, w, V),
-            np.bincount(t, w, V),
-        )
+        V, s, t, w = self.num_vertices, self.sources, self.targets, self.edge_weights
+        out_w, in_w = np.bincount(s, w, V), np.bincount(t, w, V)
+        return np.bincount(s, minlength=V), np.bincount(t, minlength=V), out_w, in_w
 
     def has_distinct_cycle(self) -> bool:
         """A directed cycle every vertex of which has indeg = outdeg = 1.
@@ -141,8 +156,7 @@ class GapGraph:
         is what invalidates the distinct-weight count; minimal maps
         produce none.
         """
-        V = self.num_vertices
-        s, t, _ = self._edge_arrays()
+        V, s, t = self.num_vertices, self.sources, self.targets
         ones = (np.bincount(s, minlength=V) == 1) & (np.bincount(t, minlength=V) == 1)
         # succ[v] is v's successor inside the degree-one set, V for none; by
         # pointer doubling as in _check_forest, a vertex still short of V
@@ -163,20 +177,20 @@ class GapGraph:
             "ghost": self.ghost,
             "vertices": [
                 {"id": i, "left": v[0], "right": v[1], "weight": w}
-                for i, (v, w) in enumerate(zip(self.vertices, self.weights))
+                for i, (v, w) in enumerate(zip(self.vertices, self.weights.tolist()))
             ],
             "edges": [
                 {"source": s, "target": t, "weight": w}
-                for (s, t), w in sorted(self.edges.items())
+                for (s, t), w in self.edges.items()
             ],
         }
 
     def to_edge_list(self) -> str:
         """Plain-text serialization: one vertex or edge per line."""
         lines = [f"# gap graph: N={self.n} d={self.d} ghost={self.ghost!r}"]
-        for i, ((l, r), w) in enumerate(zip(self.vertices, self.weights)):
+        for i, ((l, r), w) in enumerate(zip(self.vertices, self.weights.tolist())):
             lines.append(f"v {i} {l!r} {r!r} {w!r}")
-        for (s, t), w in sorted(self.edges.items()):
+        for (s, t), w in self.edges.items():
             lines.append(f"e {s} {t} {w!r}")
         return "\n".join(lines) + "\n"
 
@@ -198,14 +212,14 @@ def _ggaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapGraph:
     left, right, _, _, target, source, _ = _atoms(T, pts, report.eps)
     pairs, which = np.unique(source * M + target, return_inverse=True)
     sources, targets = divmod(pairs, M)
-    lengths = np.bincount(which, weights=right - left)
-    ends = np.append(pts[1:], 1.0)
     graph = GapGraph(
         n=N,
         d=T.d,
-        vertices=tuple(zip(pts.tolist(), ends.tolist())),
-        weights=tuple((ends - pts).tolist()),
-        edges=dict(zip(zip(sources.tolist(), targets.tolist()), lengths.tolist())),
+        pts=pts,
+        ends=np.append(pts[1:], 1.0),
+        sources=sources,
+        targets=targets,
+        edge_weights=np.bincount(which, weights=right - left),
         ghost=ghost,
     )
     _check_weight_axioms(graph)
@@ -214,11 +228,11 @@ def _ggaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapGraph:
 
 def _check_weight_axioms(graph: GapGraph) -> None:
     tol = default_cluster_eps(graph.n)
-    total = math.fsum(graph.weights)
+    w = graph.weights
+    total = math.fsum(w.tolist())
     if abs(total - 1.0) > tol:
         raise ConsistencyError(f"vertex weights sum to {total!r}, not 1")
     _, _, out_w, in_w = graph.degree_table()
-    w = np.asarray(graph.weights)
     bad = np.flatnonzero((np.abs(out_w - w) > tol) | (np.abs(in_w - w) > tol))
     if bad.size:
         v = int(bad[0])
@@ -342,10 +356,10 @@ def boshernitzan_bound_check(
 GAP = "gap"
 RIGHT_SLOT = "right_slot"
 LEFT_SLOT = "left_slot"
+KINDS = (GAP, RIGHT_SLOT, LEFT_SLOT)  # by the kind codes of GapForest.kind
 
 
-@dataclass(frozen=True)
-class ForestVertex:
+class ForestVertex(NamedTuple):
     kind: str  # gap / right_slot / left_slot
     index: int  # gap index, or discontinuity index for slots
     left: float
@@ -373,19 +387,51 @@ class ForestVertex:
         return out
 
 
-@dataclass(frozen=True)
-class GapForest:
+@dataclass(frozen=True, eq=False)
+class GapForest(_ReadOnlyArrays):
     """Forest on gaps and slots: each gap points at the pieces of its
     inverse image; pieces bounded by a discontinuity are slots, which are
     terminal.  The first and last gaps coincide with the slots around 0
     and 1 and are flagged as such.
+
+    Read-only arrays: vertex v is [left[v], right[v]), ``KINDS[kind[v]]``
+    number index[v]; the gaps come first, then right and left slots.  Edge
+    e runs sources[e] -> targets[e], in the order of the atoms' images.
+    ``vertices`` and ``edges`` (key, key, weight) are views built once.
     """
 
     n: int
     d: int
-    vertices: tuple[ForestVertex, ...]
-    edges: tuple[tuple, ...]  # (source_key, target_key, weight)
+    kind: np.ndarray
+    index: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     ghost: float
+
+    @property
+    def num_gaps(self) -> int:
+        return int(np.count_nonzero(self.kind == 0))
+
+    @cached_property
+    def vertices(self) -> tuple[ForestVertex, ...]:
+        vertices = list(map(ForestVertex, map(KINDS.__getitem__, self.kind.tolist()),
+                            self.index.tolist(), self.left.tolist(), self.right.tolist()))
+        M = self.num_gaps
+        vertices[0] = vertices[0]._replace(slot_label="R0")  # right slot of beta_0
+        vertices[M - 1] = vertices[M - 1]._replace(slot_label=f"L{self.d}")  # left slot of beta_d
+        return tuple(vertices)
+
+    @cached_property
+    def edges(self) -> tuple[tuple, ...]:
+        keys = [v.key for v in self.vertices]
+        return tuple(zip(
+            map(keys.__getitem__, self.sources.tolist()),
+            map(keys.__getitem__, self.targets.tolist()),
+            self.weights.tolist(),
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -396,21 +442,14 @@ class GapForest:
             "ghost": self.ghost,
             "vertices": [v.to_json() for v in self.vertices],
             "edges": [
-                {
-                    "source": list(s),
-                    "target": list(t),
-                    "weight": w,
-                }
-                for s, t, w in self.edges
+                {"source": list(s), "target": list(t), "weight": w} for s, t, w in self.edges
             ],
         }
 
     def to_edge_list(self) -> str:
         lines = [f"# gap forest: N={self.n} d={self.d} ghost={self.ghost!r}"]
         for v in self.vertices:
-            lines.append(
-                f"v {v.kind}:{v.index} {v.left!r} {v.right!r} {v.length!r}"
-            )
+            lines.append(f"v {v.kind}:{v.index} {v.left!r} {v.right!r} {v.length!r}")
         for s, t, w in self.edges:
             lines.append(f"e {s[0]}:{s[1]} {t[0]}:{t[1]} {w!r}")
         return "\n".join(lines) + "\n"
@@ -440,30 +479,22 @@ def _fgaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapForest:
             f"{int(source[a])} runs between two discontinuities and matches no gap or "
             "slot (orbit too short to separate discontinuities)"
         )
-    ends = np.append(pts[1:], 1.0)
-    vertices = list(map(ForestVertex, repeat(GAP), range(M), pts.tolist(), ends.tolist()))
-    vertices[0] = replace(vertices[0], slot_label="R0")  # right slot of beta_0
-    vertices[-1] = replace(vertices[-1], slot_label=f"L{d}")  # left slot of beta_d
-    gap_keys = [v.key for v in vertices]
-    keys = list(map(gap_keys.__getitem__, target.tolist()))
-    for kind, atoms, k in (
-        (RIGHT_SLOT, np.flatnonzero(cut >= 1), cut),
-        (LEFT_SLOT, np.flatnonzero((end >= 1) & (end < d)), end),
-    ):
-        for a, idx in zip(atoms.tolist(), k[atoms].tolist()):
-            vertices.append(ForestVertex(kind, idx, float(left[a]), float(right[a])))
-            keys[a] = vertices[-1].key
-
+    rights = np.flatnonzero(cut >= 1)
+    lefts = np.flatnonzero((end >= 1) & (end < d))
+    slots = np.concatenate([rights, lefts])
+    ids = target.copy()
+    ids[slots] = M + np.arange(len(slots))
     order = np.argsort(image)
     forest = GapForest(
         n=N,
         d=d,
-        vertices=tuple(vertices),
-        edges=tuple(zip(
-            map(gap_keys.__getitem__, source[order].tolist()),
-            map(keys.__getitem__, order.tolist()),
-            (right - left)[order].tolist(),
-        )),
+        kind=np.repeat([0, 1, 2], [M, len(rights), len(lefts)]),
+        index=np.concatenate([np.arange(M), cut[rights], end[lefts]]),
+        left=np.concatenate([pts, left[slots]]),
+        right=np.concatenate([pts[1:], [1.0], right[slots]]),
+        sources=source[order],
+        targets=ids[order],
+        weights=(right - left)[order],
         ghost=ghost,
     )
     _check_forest(forest)
@@ -472,32 +503,31 @@ def _fgaps(T: Iet, N: int, report: GapReport, ghost: float) -> GapForest:
 
 def _check_forest(forest: GapForest) -> None:
     """Every vertex has in-degree at most one, and the gap -> gap edges
-    form no cycle."""
-    sources, targets, _ = zip(*forest.edges)
-    keys = list(dict.fromkeys(chain(sources, targets)))
-    ids = dict(zip(keys, range(len(keys))))
-    E, n = len(forest.edges), len(keys)
-    src = np.fromiter(map(ids.__getitem__, sources), np.intp, E)
-    dst = np.fromiter(map(ids.__getitem__, targets), np.intp, E)
+    form no cycle.  An error names, of the vertices at fault, the first
+    met along the edges' sources and then their targets."""
+    n, src, dst = len(forest.kind), forest.sources, forest.targets
+    walk = np.concatenate([src, dst])
     indeg = np.bincount(dst, minlength=n)
     if indeg.max() > 1:
-        v = int(np.argmax(indeg))
+        v = int(walk[np.argmax(indeg[walk] == indeg.max())])
         raise ConsistencyError(
-            f"forest vertex {keys[v]} has in-degree {int(indeg[v])} (duplicated orbit point?)"
+            f"forest vertex {forest.vertices[v].key} has in-degree {int(indeg[v])} "
+            "(duplicated orbit point?)"
         )
     # each vertex has at most one parent: up[v] starts as v's gap parent,
     # with n for none, and doubles its reach each round; once the reach
     # exceeds every path, a vertex that still has an ancestor hangs below a
     # cycle, and that ancestor lies on it
     up = np.full(n + 1, n)
-    on_gap = np.fromiter(map(GAP.__eq__, map(itemgetter(0), targets)), bool, E)
+    on_gap = dst < forest.num_gaps
     up[dst[on_gap]] = src[on_gap]
     for _ in range(n.bit_length() + 1):
         up = up[up]
-    cyclic = np.flatnonzero(up[:n] != n)
-    if cyclic.size:
+    cyclic = up[walk] != n
+    if cyclic.any():
+        v = int(up[walk[np.argmax(cyclic)]])
         raise ConsistencyError(
-            f"forest contains a cycle through {keys[up[cyclic[0]]]} "
+            f"forest contains a cycle through {forest.vertices[v].key} "
             "(duplicated orbit point or tolerance failure)"
         )
 
@@ -512,21 +542,20 @@ def gap_lengths_from_forest(forest: GapForest, eps: Optional[float] = None) -> t
     """
     if eps is None:
         eps = default_cluster_eps(forest.n)
+    src, M = forest.sources, forest.num_gaps
+    length = forest.right - forest.left
     # slots, and the first and last gaps, which carry the slot labels of 0 and 1
-    slots = {v.key: v for v in forest.vertices if v.kind != GAP or v.slot_label}
-    count = Counter(map(itemgetter(0), forest.edges))
-    pieces = {s: [] for s, c in count.items() if c >= 2}
-    lengths = []
-    for s, t, w in forest.edges:
-        if s in pieces:
-            pieces[s].append(w)
-        elif t in slots:
-            lengths.append(slots[t].length)
-    lengths += map(math.fsum, pieces.values())
-    ends = sorted(v.index for v in slots.values() if v.kind == GAP)
-    lengths += (slots[(GAP, ends[0])].length, slots[(GAP, ends[-1])].length)
-
-    clusters = cluster_lengths(lengths, eps)
+    slot = forest.kind != 0
+    slot[[0, M - 1]] = True
+    pieces = np.bincount(src)[src]
+    whole = forest.targets[(pieces == 1) & slot[forest.targets]]
+    # the pieces of each splitting gap, grouped, each group summed exactly
+    split = np.flatnonzero(pieces >= 2)
+    split = split[np.argsort(src[split], kind="stable")]
+    bounds = [*np.flatnonzero(np.diff(src[split], prepend=-1)).tolist(), len(split)]
+    w = forest.weights[split].tolist()
+    sums = [math.fsum(w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    clusters = cluster_lengths(np.concatenate([length[whole], sums, length[[0, M - 1]]]), eps)
     return tuple(c.length for c in clusters)
 
 

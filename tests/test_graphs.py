@@ -110,8 +110,10 @@ def test_has_distinct_cycle_equals_the_walk(reference_maps):
         ({(0, 1): 0.2, (1, 2): 0.2, (2, 0): 0.2, (3, 0): 0.2}, False),
     ):
         V = 1 + max(max(e) for e in edges)
-        G = GapGraph(n=V, d=2, vertices=((0.0, 1.0),) * V, weights=(1.0 / V,) * V,
-                     edges=edges, ghost=0.0)
+        sources, targets = np.array(list(edges)).T
+        G = GapGraph(n=V, d=2, pts=np.arange(V) / V, ends=np.arange(1, V + 1) / V,
+                     sources=sources, targets=targets,
+                     edge_weights=np.array(list(edges.values())), ghost=0.0)
         assert G.has_distinct_cycle() is cyclic
         assert _reference_has_distinct_cycle(G) is cyclic
 
@@ -257,6 +259,8 @@ def test_forest_lengths_rotation_match_three_gap():
         ("sqrt(1/2)", 10**5),
         ("sqrt(1/2)", 2 * 10**5),
         ("demo", 2 * 10**5),  # the demo 3-IET
+        ("sqrt(1/2)", 10**6),
+        ("demo", 10**6),
     ],
 )
 def test_graph_checks_pass_on_long_rotation_orbits(alpha, N, demo_iet):
@@ -284,8 +288,14 @@ def test_forest_minimal_segment():
 
 
 def test_forest_cycle_error_for_periodic_orbit():
-    with pytest.raises(ConsistencyError):
-        fgaps_build(Iet.rotation(Fraction(1, 3)), 7)
+    # the message names one gap on the cycle, as a plain tuple of str and int
+    for p, q, N, through in ((1, 3, 7, 2), (2, 5, 11, 2), (1, 4, 9, 0)):
+        with pytest.raises(ConsistencyError) as err:
+            fgaps_build(Iet.rotation(Fraction(p, q)), N)
+        assert str(err.value) == (
+            f"forest contains a cycle through ('gap', {through}) "
+            "(duplicated orbit point or tolerance failure)"
+        )
 
 
 def test_forest_degenerate_orbit_error():
@@ -426,6 +436,32 @@ def test_graphs_equal_the_per_gap_reference(name, T, N):
         assert [(s, t) for s, t, _w in F.edges] == [(s, t) for s, t, _w in forest_edges]
         for (_s, _t, w), (_rs, _rt, rw) in zip(F.edges, forest_edges):
             assert abs(w - rw) <= eps
+
+
+def _plain(value) -> bool:
+    """Whether value is built of dicts with str keys, lists, and Python
+    ints, floats and strs only (no numpy scalars)."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_plain, value))
+    return type(value) in (int, float, str)
+
+
+def test_graph_and_forest_views_are_cached_and_arrays_read_only(demo_iet):
+    G, F = ggaps_build(demo_iet, 500), fgaps_build(demo_iet, 500)
+    # a view rebuilt per access would make lookups in a loop quadratic
+    assert G.vertices is G.vertices and G.edges is G.edges and G.weights is G.weights
+    assert F.vertices is F.vertices and F.edges is F.edges
+    assert len(G.edges) == G.num_edges and len(F.vertices) == len(F.kind)
+    arrays = [v for obj in (G, F) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 5 + 1 + 7  # GapGraph fields, its weights, GapForest fields
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(TypeError):
+        G.edges[(0, 0)] = 1.0
+    assert _plain(G.to_json()) and _plain(F.to_json())
 
 
 def test_forest_serialization(demo_iet):
