@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapscope.iet as iet_module
 from gapscope.errors import DomainError, ValidationError
 from gapscope.gaps import orbit
 from gapscope.iet import (
@@ -270,16 +271,21 @@ def _reference_keane(T, depth, tol=None):
     return KeaneResult(satisfied=True, depth=depth, tol=tol)
 
 
-@pytest.mark.parametrize("depth", [1, 7, 300])
+@pytest.mark.parametrize("depth", [1, 7, 300, 3000])
 def test_keane_check_equals_the_tuple_sort_reference(reference_maps, depth):
+    # at depth 3000 every orbit comes from block powers (3000 steps or more);
+    # every 8th map keeps generic, rotation and rational ones
+    maps = reference_maps if depth <= 300 else reference_maps[::8]
     failed = 0
-    for T in reference_maps:
+    for T in maps:
         got, ref = T.keane_check(depth=depth), _reference_keane(T, depth)
         assert (got.satisfied, got.witness, got.tol, got.depth) == (
             ref.satisfied, ref.witness, ref.tol, ref.depth), T
         failed += not ref.satisfied
-    # rational maps fail with a witness at every depth (17 of them at depth 1)
-    assert failed >= 17
+    # rational maps fail with a witness at every depth (17 of them at depth 1,
+    # 42 of every 8th map at depth 3000), and generic ones pass
+    assert failed >= (17 if maps is reference_maps else 42)
+    assert failed < len(maps)
 
 
 def test_keane_check_with_tolerance_equals_the_reference(reference_maps):
@@ -303,6 +309,48 @@ def test_iet_orbit_equals_the_apply_loop(reference_maps):
             assert orbit(T, 2000).tobytes() == _reference_iterate(T, 0.0, 2000).tobytes(), T
 
 
+@pytest.mark.parametrize("n, every", [(3001, 5), (20001, 25)])
+def test_long_iterate_equals_the_apply_loop(reference_maps, n, every):
+    # above the block threshold of 3000 steps: block-power guesses, checked
+    # and repaired
+    for T in reference_maps[::every]:
+        for x in (0.0, *T.alpha[1:-1], T.beta[-2]):
+            assert T.iterate(x, n).tobytes() == _reference_iterate(T, x, n).tobytes(), (T, x)
+        if T.pi != (2, 1):
+            assert orbit(T, n).tobytes() == _reference_iterate(T, 0.0, n).tobytes(), T
+
+
+def test_long_orbits_equal_the_apply_loop_without_clamp_fixes(reference_maps, monkeypatch):
+    # a start just below a cut may send its image onto 1.0, where the loop
+    # clamps; with no clamp fixes allowed the loop redoes those rows
+    monkeypatch.setattr(iet_module, "_MAX_CLAMPS", 0)
+    for T in reference_maps[::10]:
+        for x in (math.nextafter(b, 0.0) for b in T.beta[1:]):
+            assert T.iterate(x, 3001).tobytes() == _reference_iterate(T, x, 3001).tobytes(), (T, x)
+
+
+def test_long_orbits_are_repaired_only_where_orbits_meet_cuts(reference_maps, monkeypatch):
+    """Above the block threshold the loop runs only to redo a row from a step
+    the guess got wrong.  That happens on maps with rational lengths, whose
+    orbits meet the cuts exactly, and not on generic random IETs."""
+    repaired = []
+    steps = Iet._steps
+
+    def spy(T, x, n):
+        repaired.append(T)
+        return steps(T, x, n)
+
+    monkeypatch.setattr(Iet, "_steps", spy)
+    generic, rational = reference_maps[:60], reference_maps[-60:]  # the fixture's order
+    for T in generic + rational:
+        for x in (0.0, *T.alpha[1:-1], T.beta[-2]):
+            T.iterate(x, 20001)
+        T.keane_check(depth=3000)
+    assert any(T in repaired for T in rational)
+    # keane_check steps the inverse map
+    assert not any(U in repaired for T in generic for U in (T, T.inverse()))
+
+
 def test_iterate_edge_cases(demo_iet):
     assert demo_iet.iterate(0.3, 0).shape == (0,)
     assert demo_iet.iterate(0.3, 1).tolist() == [0.3]
@@ -312,6 +360,10 @@ def test_iterate_edge_cases(demo_iet):
     for x in (1.0, -0.1, -1e-300, math.nan, math.inf):
         with pytest.raises(DomainError):
             demo_iet.iterate(x, 3)
+    for n in (-3, 2.5, "4", None):
+        with pytest.raises(DomainError, match=f"n must be an int >= 0, got {n!r}"):
+            demo_iet.iterate(0.3, n)
+    assert demo_iet.iterate(0.3, np.int64(2)).tobytes() == demo_iet.iterate(0.3, 2).tobytes()
 
 
 # ---------------------------------------------------------------------------
