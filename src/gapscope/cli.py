@@ -372,13 +372,12 @@ def cmd_verify():
 @cmd_verify.command("three-gap")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@click.option("--eps", type=float, default=1e-10, show_default=True)
 @PRECISION_OPT
 @FORMAT_OPT
-def verify_three_gap_cmd(alpha, n, eps, precision, fmt):
+def verify_three_gap_cmd(alpha, n, precision, fmt):
     """Measured gap report vs the three-gap prediction."""
     try:
-        outcome = verify_three_gap(_parse_alpha(alpha), n, eps, bits=_bits(precision))
+        outcome = verify_three_gap(_parse_alpha(alpha), n, bits=_bits(precision))
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)
@@ -401,13 +400,12 @@ def verify_dplus2_cmd(iet_path, n, fmt):
 @cmd_verify.command("zipper")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@click.option("--eps", type=float, default=1e-9, show_default=True)
 @PRECISION_OPT
 @FORMAT_OPT
-def verify_zipper_cmd(alpha, n, eps, precision, fmt):
+def verify_zipper_cmd(alpha, n, precision, fmt):
     """Gap clusters vs zippered-rectangle width/height pairs."""
     try:
-        outcome = check_gap_zipper_correspondence(_parse_alpha(alpha), n, eps, bits=_bits(precision))
+        outcome = check_gap_zipper_correspondence(_parse_alpha(alpha), n, bits=_bits(precision))
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)

@@ -13,7 +13,13 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .iet import Iet, perm_inverse
-from .numerics import AlphaLike, bracket_offsets, coerce_alpha, farey_neighbors
+from .numerics import (
+    DEFAULT_PRECISION,
+    AlphaLike,
+    bracket_offsets,
+    coerce_alpha,
+    farey_neighbors,
+)
 from .outcomes import (
     VerificationOutcome,
     outcome_fail,
@@ -242,23 +248,12 @@ class ThreeGapPrediction:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
-    def expected_clusters(self, eps: float) -> tuple[GapCluster, ...]:
+    def expected_clusters(self) -> tuple[GapCluster, ...]:
         """Predicted (length, count) clusters: zero counts dropped, lengths
-        within eps merged, sorted by length."""
+        within ``default_cluster_eps(n)`` merged, sorted by length."""
         if self.is_rational:
             return (GapCluster(length=self.length, count=self.q),)
-        pairs = sorted(
-            (l, c) for l, c in zip(self.lengths, self.counts) if c > 0
-        )
-        merged: list[list] = []
-        for l, c in pairs:
-            if merged and l - merged[-1][0] <= eps:
-                total = merged[-1][1] + c
-                merged[-1][0] = (merged[-1][0] * merged[-1][1] + l * c) / total
-                merged[-1][1] = total
-            else:
-                merged.append([l, c])
-        return tuple(GapCluster(length=l, count=c) for l, c in merged)
+        return _merged_clusters(zip(self.lengths, self.counts), default_cluster_eps(self.n))
 
     def to_json(self) -> dict:
         out = {"schema_version": 1, "kind": "three_gap_prediction", "n": self.n, "case": self.kind}
@@ -291,7 +286,23 @@ class ThreeGapPrediction:
         )
 
 
-def three_gap_predict(alpha: AlphaLike, N: int, bits: int = 53) -> ThreeGapPrediction:
+def _merged_clusters(pairs, eps: float) -> tuple[GapCluster, ...]:
+    """Clusters of (length, count) pairs: zero counts dropped, lengths within
+    eps merged at their count-weighted mean, sorted by length."""
+    merged: list[list] = []
+    for l, c in sorted((l, c) for l, c in pairs if c > 0):
+        if merged and l - merged[-1][0] <= eps:
+            total = merged[-1][1] + c
+            merged[-1][0] = (merged[-1][0] * merged[-1][1] + l * c) / total
+            merged[-1][1] = total
+        else:
+            merged.append([l, c])
+    return tuple(GapCluster(length=l, count=c) for l, c in merged)
+
+
+def three_gap_predict(
+    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
+) -> ThreeGapPrediction:
     """Exact three-gap structure from the Farey bracket of alpha at order N.
 
     ``bits`` is the working precision: it narrows the ambiguity guard band
@@ -352,32 +363,35 @@ def sigma_recursion(N: int, q1: int, q2: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def verify_three_gap(
-    alpha: AlphaLike, N: int, eps: float = 1e-10, bits: int = 53
-) -> VerificationOutcome:
-    """Compare the measured gap report of the rotation orbit against the
-    three-gap prediction: cluster counts exactly, lengths within eps, and
-    (generic case) the sorting permutation against the recursion."""
-    pred = three_gap_predict(alpha, N, bits=bits)
-    report = gap_report(Iet.rotation(alpha), N)
-    failures = []
-
-    expected = pred.expected_clusters(eps)
-    got = report.clusters
+def _cluster_failures(expected, got, eps: float) -> list[dict]:
+    """Mismatches of measured clusters against expected ones: counts
+    exactly, lengths within eps."""
     if len(expected) != len(got):
-        failures.append(
+        return [
             {
                 "what": "cluster count",
                 "expected": [c.to_json() for c in expected],
                 "got": [c.to_json() for c in got],
             }
-        )
-    else:
-        for exp, act in zip(expected, got):
-            if exp.count != act.count or abs(exp.length - act.length) > eps:
-                failures.append(
-                    {"what": "cluster", "expected": exp.to_json(), "got": act.to_json()}
-                )
+        ]
+    return [
+        {"what": "cluster", "expected": exp.to_json(), "got": act.to_json()}
+        for exp, act in zip(expected, got)
+        if exp.count != act.count or abs(exp.length - act.length) > eps
+    ]
+
+
+def verify_three_gap(
+    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
+) -> VerificationOutcome:
+    """Compare the measured gap report of the rotation orbit against the
+    three-gap prediction: cluster counts exactly, lengths within
+    ``default_cluster_eps(N)``, and (generic case) the sorting permutation
+    against the recursion."""
+    pred = three_gap_predict(alpha, N, bits=bits)
+    report = gap_report(Iet.rotation(alpha), N)
+    eps = default_cluster_eps(N)
+    failures = _cluster_failures(pred.expected_clusters(), report.clusters, eps)
 
     if pred.is_rational:
         if report.num_points != pred.q:
@@ -411,10 +425,7 @@ def dplus2_bound(pi: Sequence[int]) -> int:
 
 
 def verify_dplus2(
-    T: Iet,
-    N: int,
-    keane_depth: Optional[int] = None,
-    report: Optional[GapReport] = None,
+    T: Iet, N: int, keane_depth: Optional[int] = None
 ) -> VerificationOutcome:
     """Check the distinct-gap-length count against the d+1 / d+2 bound and
     the 3(d-1) bound.  Minimality is certified by the Keane check first;
@@ -427,8 +438,7 @@ def verify_dplus2(
             "d+2", "Keane certificate failed (map not certified minimal)",
             keane=keane.to_json(), **details,
         )
-    if report is None:
-        report = gap_report(T, N)
+    report = gap_report(T, N)
     bound = dplus2_bound(T.pi)
     bosh = 3 * (T.d - 1) if T.d >= 2 else 1
     count = report.distinct_count

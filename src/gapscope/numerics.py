@@ -65,9 +65,6 @@ class FareyFraction:
     def __str__(self) -> str:
         return f"{self.a}/{self.q}"
 
-    def to_json(self) -> dict:
-        return {"numerator": self.a, "denominator": self.q}
-
 
 @dataclass(frozen=True)
 class FareyBracket:
@@ -89,15 +86,6 @@ class FareyBracket:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-    def to_json(self) -> dict:
-        if self.is_exact:
-            return {"order": self.order, "exact": self.exact.to_json()}
-        return {
-            "order": self.order,
-            "lower": self.lower.to_json(),
-            "upper": self.upper.to_json(),
-        }
 
 
 def mod_inverse(a: int, q: int) -> int:

@@ -1,11 +1,15 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from gapscope import Iet
+from gapscope import gaps as gaps_module
+from gapscope import zipper as zipper_module
 from gapscope.iet import is_irreducible, random_iet
 
 settings.register_profile(
@@ -29,6 +33,35 @@ def demo_iet() -> Iet:
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
 
+
+
+@pytest.fixture
+def planted_prediction(monkeypatch):
+    """Make ``three_gap_predict`` put its first length A 1e-6 relative too
+    long."""
+    real = gaps_module.three_gap_predict
+
+    def planted(alpha, N, bits):
+        pred = real(alpha, N, bits)
+        lengths = (pred.lengths[0] * (1 + 1e-6), *pred.lengths[1:])
+        return dataclasses.replace(pred, lengths=lengths)
+
+    monkeypatch.setattr(gaps_module, "three_gap_predict", planted)
+
+
+@pytest.fixture
+def planted_height(monkeypatch):
+    """Make ``zipper_torus`` put its first height N*A 1e-6 relative too high.
+    The result is a plain namespace, since such data fails the unit-area
+    check of ``ZipperedRectangles``."""
+    real = zipper_module.zipper_torus
+
+    def planted(alpha, N, bits):
+        zr = real(alpha, N, bits)
+        heights = (zr.heights[0] * (1 + 1e-6), *zr.heights[1:])
+        return SimpleNamespace(widths=zr.widths, heights=heights, case=zr.case)
+
+    monkeypatch.setattr(zipper_module, "zipper_torus", planted)
 
 
 @pytest.fixture(scope="session")

@@ -89,7 +89,7 @@ def test_criterion_3_three_gap_sweep():
         rep = gap_report(Iet.rotation(alpha), N)
         assert len(rep.clusters) <= 3, (alpha, N)
         pred = three_gap_predict(alpha, N)
-        expected = pred.expected_clusters(1e-9)
+        expected = pred.expected_clusters()
         assert len(expected) == len(rep.clusters), (alpha, N)
         for e, g in zip(expected, rep.clusters):
             assert e.count == g.count and abs(e.length - g.length) <= 1e-9, (alpha, N)

@@ -180,14 +180,18 @@ def test_verify_three_gap_passes(runner):
     assert data["status"] == "pass"
 
 
-def test_verify_failure_exits_one(runner):
-    result = runner.invoke(
-        main,
-        ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-18"],
-    )
+def test_verify_failure_exits_one(runner, planted_prediction):
+    result = runner.invoke(main, ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9"])
     assert result.exit_code == 1
     data = json.loads(result.output)
     assert data["status"] == "fail" and data["failures"]
+
+
+def test_verify_zipper_mismatch_exits_one(runner, planted_height):
+    result = runner.invoke(main, ["verify", "zipper", "--alpha", "sqrt(1/2)", "--n", "9"])
+    assert result.exit_code == 1
+    (failure,) = json.loads(result.output)["failures"]
+    assert failure["what"] == "cluster"
 
 
 def test_verify_sigma_mismatch_exits_one_with_int_sigma(runner, monkeypatch):
@@ -230,6 +234,8 @@ def test_unknown_flag_exits_two(runner):
         ["graph", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
         ["verify", "bosh", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
         ["verify", "forest", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
+        ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
+        ["verify", "zipper", "--alpha", "sqrt(1/2)", "--n", "9", "--eps", "1e-9"],
         ["verify", "dplus2", "--iet", "IET", "--n", "8", "--precision", "80"],
         ["dist", "--z", "0.5", "--n", "20", "--precision", "80"],
         ["gaps", "--iet", "IET", "--n", "8", "--precision", "80"],

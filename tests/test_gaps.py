@@ -22,6 +22,7 @@ from gapscope.gaps import (
     verify_three_gap,
 )
 from gapscope.iet import Iet, random_iet
+from gapscope.zipper import check_gap_zipper_correspondence
 
 A_GOLD = 3 / math.sqrt(2) - 2
 B_GOLD = 3 - 4 / math.sqrt(2)
@@ -116,6 +117,8 @@ def test_gap_report_matches_prediction_at_large_n(alpha, N):
     assert [c.count for c in rep.clusters] == [c for _, c in want]
     for got, (length, _) in zip(rep.clusters, want):
         assert abs(got.length - length) <= rep.eps
+    assert verify_three_gap(alpha, N).passed
+    assert check_gap_zipper_correspondence(alpha, N).passed
 
 
 def test_gap_report_json_roundtrip(demo_iet):
@@ -195,7 +198,7 @@ def test_predict_zero_count_on_first_arc():
     p = three_gap_predict(0.05, 10)
     assert (p.lower, p.upper) == ((0, 1), (1, 10))
     assert p.counts == (9, 1, 0)
-    assert len(p.expected_clusters(1e-10)) == 2
+    assert len(p.expected_clusters()) == 2
 
 
 def test_prediction_json_roundtrip():
@@ -247,20 +250,30 @@ def test_sigma_recursion_random_oracle(rng):
 
 
 def test_verify_three_gap_golden():
-    assert verify_three_gap("sqrt(1/2)", 9, 1e-10).passed
+    assert verify_three_gap("sqrt(1/2)", 9).passed
 
 
 def test_verify_three_gap_rational():
-    out = verify_three_gap(Fraction(1, 3), 12, 1e-10)
+    out = verify_three_gap(Fraction(1, 3), 12)
     assert out.passed and out.details["case"] == "rational"
 
 
-def test_verify_three_gap_reports_both_sides_on_mismatch():
-    # an unreasonably tight tolerance forces a structured failure
-    out = verify_three_gap("sqrt(1/2)", 9, 1e-18)
-    if not out.passed:
-        assert out.failures
-        assert any("expected" in f or "what" in f for f in out.failures)
+def test_verify_three_gap_reports_both_sides_on_mismatch(planted_prediction):
+    out = verify_three_gap("sqrt(1/2)", 9)
+    assert not out.passed
+    (failure,) = out.failures
+    assert failure["what"] == "cluster"
+    assert failure["expected"]["count"] == failure["got"]["count"] == 6
+    assert failure["expected"]["length"] > failure["got"]["length"]
+
+
+def test_verifiers_keep_a_near_mediant_length_apart():
+    # A and C differ by 5e-13, far above the noise of N = 4: three lengths
+    alpha, N = "3/5 + 1/10000000000000", 4
+    assert len(gap_report(Iet.rotation(alpha), N).clusters) == 3
+    assert len(three_gap_predict(alpha, N).expected_clusters()) == 3
+    assert verify_three_gap(alpha, N).passed
+    assert check_gap_zipper_correspondence(alpha, N).passed
 
 
 def test_verify_dplus2_demo_iet(demo_iet):

@@ -109,6 +109,15 @@ def test_correspondence_random_sweep(rng):
         assert out.passed, (alpha, N, out.to_json())
 
 
+def test_correspondence_fails_on_a_planted_height(planted_height):
+    out = check_gap_zipper_correspondence("sqrt(1/2)", 9)
+    assert not out.passed
+    (failure,) = out.failures
+    assert failure["what"] == "cluster"
+    assert failure["expected"]["count"] == failure["got"]["count"] == 6
+    assert failure["expected"]["length"] > failure["got"]["length"]
+
+
 def test_zipper_json_roundtrip():
     zr = zipper_torus("sqrt(1/2)", 9)
     assert ZipperedRectangles.from_json(zr.to_json()) == zr
