@@ -17,6 +17,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
 from .distribution import (
@@ -134,24 +135,37 @@ def _parse_z_grid(text: str) -> list[float]:
 
 
 def _dumps(data: dict) -> str:
-    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte, where
+    a top-level 1-D int64 or float64 array counts as its ``tolist()``.
 
     With an indent the stdlib encodes in pure Python, and a gap report's
-    three lists of N numbers would take most of the op.  So every top-level
-    list of plain ints and floats goes through the C encoder (no indent) and
-    is cut into one item per line; every other value takes the stdlib path.
+    three arrays of N numbers would take most of the op.  So each such array
+    goes through the C encoder (no indent) and is cut into one item per
+    line; a float array is encoded once per distinct bit pattern (an orbit's
+    N gaps take a handful of lengths) and the texts are spliced back in
+    order.  Every other value takes the stdlib path.
     """
     if not data or not all(type(k) is str for k in data):
         return json.dumps(data, sort_keys=True, indent=2)
     parts = []
     for key in sorted(data):
         value = data[key]
-        if type(value) is list and value and {type(x) for x in value} <= {int, float}:
-            body = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        if type(value) is np.ndarray and value.ndim == 1 and value.dtype in (np.int64, np.float64):
+            body = "[\n    " + _flat_items(value) + "\n  ]" if len(value) else "[]"
         else:
             body = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         parts.append(f"{json.dumps(key)}: {body}")
     return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
+def _flat_items(arr: np.ndarray) -> str:
+    """The items of a 1-D int64 or float64 array as JSON, one per line."""
+    if arr.dtype == np.int64:
+        return json.dumps(arr.tolist())[1:-1].replace(", ", ",\n    ")
+    # keyed on the bit pattern, so -0.0 and 0.0 (equal as floats) stay apart
+    keys, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    texts = json.dumps(keys.view(np.float64).tolist())[1:-1].split(", ")
+    return ",\n    ".join(np.array(texts, dtype=object)[inverse].tolist())
 
 
 def _emit(data: dict, fmt: str, csv_rows=None, csv_fields=None, text=None):
@@ -215,8 +229,8 @@ def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
         report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
-    # build only what the format prints: the JSON holds three lists of N items
-    data = report.to_json() if fmt == "json" else {}
+    # build only what the format prints: the JSON holds three arrays of N items
+    data = report._json_fields() if fmt == "json" else {}
     if alpha is not None:
         data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
     rows = [c.to_json() for c in report.clusters] if fmt == "csv" else None
@@ -242,7 +256,7 @@ def cmd_predict(alpha, n, with_sigma, precision, fmt):
     data = pred.to_json()
     data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
     if with_sigma and not pred.is_rational:
-        data["sigma"] = list(sigma_recursion(n, pred.lower[1], pred.upper[1]))
+        data["sigma"] = np.array(sigma_recursion(n, pred.lower[1], pred.upper[1]), dtype=np.int64)
     if pred.is_rational:
         rows = [{"length": pred.length, "count": pred.q}]
         text = f"rational: {pred.q} gaps of length {pred.length!r}"

@@ -132,17 +132,25 @@ class GapReport:
     def gap_sum(self) -> float:
         return math.fsum(self.gaps.tolist())
 
-    def to_json(self) -> dict:
+    def _json_fields(self) -> dict:
+        """The JSON fields, with ``points``, ``sigma`` and ``gaps`` still
+        arrays (the CLI's emitter encodes them directly)."""
         return {
             "schema_version": 1,
             "kind": "gap_report",
             "n": self.n,
             "eps": self.eps,
-            "points": self.points.tolist(),
-            "sigma": self.sigma.tolist(),
-            "gaps": self.gaps.tolist(),
+            "points": self.points,
+            "sigma": self.sigma,
+            "gaps": self.gaps,
             "clusters": [c.to_json() for c in self.clusters],
             "deduplicated": self.deduplicated,
+        }
+
+    def to_json(self) -> dict:
+        return {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in self._json_fields().items()
         }
 
     @staticmethod
@@ -189,14 +197,21 @@ def gap_report(
         raise DomainError(f"N must be >= 1, got {N}")
     eps = default_cluster_eps(N)
     pts = orbit(T, N) if points is None else np.asarray(points, dtype=float)
-    order = np.argsort(pts, kind="stable")
+    # with distinct keys every sort gives the same permutation, so the
+    # stable one (ties kept in exponent order) is needed only on a tie
+    order = np.argsort(pts)
     sorted_pts = pts[order]
+    steps = np.diff(sorted_pts)
+    if not (steps > 0).all():
+        order = np.argsort(pts, kind="stable")
+        sorted_pts = pts[order]
+        steps = np.diff(sorted_pts)
 
     dedup = False
     if not keep_duplicates and len(sorted_pts) > 1:
         keep = np.empty(len(sorted_pts), dtype=bool)
         keep[0] = True
-        np.greater(np.diff(sorted_pts), eps, out=keep[1:])
+        np.greater(steps, eps, out=keep[1:])
         if not keep.all():
             dedup = True
             sorted_pts = sorted_pts[keep]
@@ -208,7 +223,7 @@ def gap_report(
             order = order[:-1]
 
     gaps = np.empty(len(sorted_pts), dtype=float)
-    gaps[:-1] = np.diff(sorted_pts)
+    gaps[:-1] = np.diff(sorted_pts) if dedup else steps
     gaps[-1] = 1.0 - sorted_pts[-1]
     return GapReport(
         n=N,
@@ -325,10 +340,7 @@ def three_gap_predict(
     )
 
 
-def sigma_recursion(N: int, q1: int, q2: int) -> tuple[int, ...]:
-    """The sorting permutation of {n*alpha} for alpha on the arc with
-    neighbor denominators (q1, q2): sigma(0) = 0 and the increment is
-    +q1 on [0, N-q1), q1-q2 on [N-q1, q2), -q2 on [q2, N)."""
+def _check_neighbor_pair(N: int, q1: int, q2: int) -> None:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if not (1 <= q1 <= N and 1 <= q2 <= N):
@@ -337,15 +349,23 @@ def sigma_recursion(N: int, q1: int, q2: int) -> tuple[int, ...]:
         raise DomainError(f"({q1}, {q2}) is not a neighbor pair at order {N}: q1+q2 <= N")
     if math.gcd(q1, q2) != 1:
         raise DomainError(f"({q1}, {q2}) is not a neighbor pair: gcd > 1")
+
+
+def sigma_recursion(N: int, q1: int, q2: int) -> tuple[int, ...]:
+    """The sorting permutation of {n*alpha} for alpha on the arc with
+    neighbor denominators (q1, q2): sigma(0) = 0 and the increment is
+    +q1 on [0, N-q1), q1-q2 on [N-q1, q2), -q2 on [q2, N)."""
+    _check_neighbor_pair(N, q1, q2)
     sigma = [0] * N
     seen = bytearray(N)
     seen[0] = 1
     cur = 0
+    lo, mid = N - q1, q1 - q2
     for i in range(1, N):
-        if cur < N - q1:
+        if cur < lo:
             cur += q1
         elif cur < q2:
-            cur += q1 - q2
+            cur += mid
         else:
             cur -= q2
         if not 0 <= cur < N or seen[cur]:
@@ -356,6 +376,18 @@ def sigma_recursion(N: int, q1: int, q2: int) -> tuple[int, ...]:
         seen[cur] = 1
         sigma[i] = cur
     return tuple(sigma)
+
+
+def _follows_sigma_recursion(sigma: np.ndarray, N: int, q1: int, q2: int) -> bool:
+    """Whether ``sigma`` equals ``sigma_recursion(N, q1, q2)``, in one array
+    pass: it starts at 0, and each step's increment is the one the
+    recursion takes from the previous value."""
+    _check_neighbor_pair(N, q1, q2)
+    if len(sigma) != N or sigma[0] != 0:
+        return False
+    prev = sigma[:-1]
+    step = np.where(prev < N - q1, q1, np.where(prev < q2, q1 - q2, -q2))
+    return bool(np.array_equal(prev + step, sigma[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +431,10 @@ def verify_three_gap(
                 {"what": "distinct points", "expected": pred.q, "got": report.num_points}
             )
     else:
-        sigma = list(sigma_recursion(N, pred.lower[1], pred.upper[1]))
-        got = report.sigma.tolist()
-        if got != sigma:
-            failures.append({"what": "sigma", "expected": sigma, "got": got})
+        q1, q2 = pred.lower[1], pred.upper[1]
+        if not _follows_sigma_recursion(report.sigma, N, q1, q2):
+            failures.append({"what": "sigma", "expected": list(sigma_recursion(N, q1, q2)),
+                             "got": report.sigma.tolist()})
 
     details = {"alpha": str(coerce_alpha(alpha)[0]), "n": N, "eps": eps, "case": pred.kind}
     if failures:

@@ -1,15 +1,25 @@
 import csv
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapscope import gaps as gaps_module
 from gapscope.cli import _dumps, main
-from gapscope.gaps import GapReport, ThreeGapPrediction, gap_report
+from gapscope.gaps import (
+    GapReport,
+    ThreeGapPrediction,
+    gap_report,
+    sigma_recursion,
+    three_gap_predict,
+)
+from gapscope.iet import Iet
+from gapscope.numerics import DEFAULT_PRECISION, parse_surd
 from gapscope.distribution import DistributionCurve
 from gapscope.zipper import ZipperedRectangles
 
@@ -195,9 +205,11 @@ def test_verify_zipper_mismatch_exits_one(runner, planted_height):
 
 
 def test_verify_sigma_mismatch_exits_one_with_int_sigma(runner, monkeypatch):
-    real = gaps_module.sigma_recursion
+    # plant a report whose sorting permutation is reversed
+    real = gaps_module.gap_report
     monkeypatch.setattr(
-        gaps_module, "sigma_recursion", lambda N, q1, q2: real(N, q1, q2)[::-1]
+        gaps_module, "gap_report",
+        lambda T, N: dataclasses.replace(real(T, N), sigma=real(T, N).sigma[::-1]),
     )
     result = runner.invoke(
         main, ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--format", "json"]
@@ -306,3 +318,55 @@ def test_emitter_equals_stdlib_indented_dumps(data):
 def test_emitter_equals_stdlib_on_gap_report(demo_iet):
     data = gap_report(demo_iet, 50).to_json()
     assert _dumps(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3,
+              float("nan"), -float("nan"), float("inf"), float("-inf")]
+FLOAT_ARRAYS = st.lists(st.sampled_from(FLOAT_POOL) | st.floats(), max_size=12).map(
+    lambda xs: np.array(xs, dtype=np.float64)
+)
+INT_ARRAYS = st.lists(
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1), max_size=12
+).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+@given(st.dictionaries(TEXT, FLOAT_ARRAYS | INT_ARRAYS | TOP_VALUES, max_size=6))
+@example({"a": np.array([-0.0, 0.0, -0.0]), "b": np.array([5e-324]), "c": np.array([7], dtype=np.int64),
+          "d": np.array([]), "e": np.array([], dtype=np.int64), "f": [1, 2.5]})
+def test_emitter_of_arrays_equals_stdlib_dumps_of_their_lists(data):
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+    assert _dumps(data) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "alpha, N, raw",
+    [
+        ("sqrt(5/7)", 10_000, False),
+        ("3/7", 100, False),  # periodic: deduplicated to 7 points
+        ("3/7", 100, True),  # raw: 93 zero gaps
+        (None, 500, False),  # the demo IET
+        ("sqrt(1/2)", 1, False),
+        (None, 1, True),
+    ],
+)
+def test_gaps_json_is_stdlib_dumps_of_the_report(runner, iet_spec_file, demo_iet, alpha, N, raw):
+    src = ["--alpha", alpha] if alpha is not None else ["--iet", iet_spec_file]
+    out = runner.invoke(
+        main, ["gaps", *src, "--n", str(N)] + (["--raw"] if raw else []), catch_exceptions=False
+    ).output
+    T = Iet.rotation(parse_surd(alpha)) if alpha is not None else demo_iet
+    data = gap_report(T, N, keep_duplicates=raw).to_json()
+    if alpha is not None:
+        data["alpha"] = parse_surd(alpha).to_json(DEFAULT_PRECISION)
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_predict_sigma_json_is_stdlib_dumps(runner):
+    alpha, N = "sqrt(2/7)", 5000
+    out = runner.invoke(main, ["predict", "--alpha", alpha, "--n", str(N), "--sigma"],
+                        catch_exceptions=False).output
+    pred = three_gap_predict(parse_surd(alpha), N)
+    data = pred.to_json()
+    data["alpha"] = parse_surd(alpha).to_json(DEFAULT_PRECISION)
+    data["sigma"] = list(sigma_recursion(N, pred.lower[1], pred.upper[1]))
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"

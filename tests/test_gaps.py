@@ -20,6 +20,7 @@ from gapscope.gaps import (
     three_gap_predict,
     verify_dplus2,
     verify_three_gap,
+    _follows_sigma_recursion,
 )
 from gapscope.iet import Iet, random_iet
 from gapscope.zipper import check_gap_zipper_correspondence
@@ -85,6 +86,19 @@ def test_gap_report_raw_multiset_flag():
     assert not rep.deduplicated
     zero = sum(c.count for c in rep.clusters if c.length < 1e-12)
     assert zero == 4  # 7 points on 3 distinct values
+
+
+def test_gap_report_orders_equal_points_by_exponent():
+    # planted exact ties, -0.0 against 0.0 among them: ties keep exponent order
+    pts = np.random.default_rng(5).choice([0.0, -0.0, 0.25, 0.5, 0.75], size=3000)
+    stable = np.argsort(pts, kind="stable")
+    T = Iet.rotation("sqrt(1/2)")
+    raw = gap_report(T, len(pts), keep_duplicates=True, points=pts)
+    assert np.array_equal(raw.sigma, stable)
+    assert np.array_equal(raw.points.view(np.int64), pts[stable].view(np.int64))
+    assert np.array_equal(raw.gaps[:-1].view(np.int64), np.diff(pts[stable]).view(np.int64))
+    rep = gap_report(T, len(pts), points=pts)
+    assert rep.sigma.tolist() == [int(np.flatnonzero(pts == v)[0]) for v in (0.0, 0.25, 0.5, 0.75)]
 
 
 def test_gap_report_demo_iet(demo_iet):
@@ -242,6 +256,29 @@ def test_sigma_recursion_random_oracle(rng):
             continue
         sigma = sigma_recursion(N, p.lower[1], p.upper[1])
         assert sigma == tuple(int(v) for v in np.argsort(orbit(Iet.rotation(alpha), N)))
+
+
+def test_sigma_check_agrees_with_the_recursion(rng):
+    checked = 0
+    for _ in range(60):
+        alpha = float(rng.uniform(1e-4, 1 - 1e-4))
+        N = int(rng.integers(2, 1000))
+        p = three_gap_predict(alpha, N)
+        if p.is_rational:
+            continue
+        q1, q2 = p.lower[1], p.upper[1]
+        sigma = np.array(sigma_recursion(N, q1, q2))
+        assert _follows_sigma_recursion(sigma, N, q1, q2)
+        i, j = rng.choice(N, 2, replace=False)
+        swapped = sigma.copy()
+        swapped[[i, j]] = swapped[[j, i]]
+        assert not _follows_sigma_recursion(swapped, N, q1, q2)
+        assert not _follows_sigma_recursion(sigma[:-1], N, q1, q2)
+        assert not _follows_sigma_recursion(np.roll(sigma, 1), N, q1, q2)
+        checked += 1
+    assert checked > 40
+    with pytest.raises(DomainError):
+        _follows_sigma_recursion(np.arange(9), 9, 3, 5)  # q1 + q2 <= N
 
 
 # ---------------------------------------------------------------------------
