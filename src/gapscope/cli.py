@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 
 import click
@@ -27,13 +26,7 @@ from .distribution import (
     verify_distribution_convergence,
 )
 from .errors import GapscopeError, ParseError
-from .gaps import (
-    gap_report,
-    sigma_recursion,
-    three_gap_predict,
-    verify_dplus2,
-    verify_three_gap,
-)
+from .gaps import gap_report, three_gap_predict, verify_dplus2, verify_three_gap
 from .graphs import (
     boshernitzan_bound_check,
     fgaps_build,
@@ -41,25 +34,11 @@ from .graphs import (
     verify_forest_lengths,
 )
 from .iet import Iet
-from .numerics import DEFAULT_PRECISION, parse_surd
+from .numerics import parse_surd
 from .outcomes import VerificationOutcome
 from .zipper import check_gap_zipper_correspondence, zipper_torus
 
 SCHEMA_VERSION = 1
-
-
-def _bits(precision) -> int:
-    return precision if precision is not None else _precision_default()
-
-
-def _precision_default() -> int:
-    env = os.environ.get("GAPSCOPE_PRECISION")
-    if env is None:
-        return DEFAULT_PRECISION
-    try:
-        return int(env)
-    except ValueError:
-        raise click.UsageError(f"GAPSCOPE_PRECISION must be an integer, got {env!r}")
 
 
 def _parse_alpha(text: str):
@@ -92,7 +71,10 @@ def _require_map(alpha, iet_path) -> Iet:
     if (alpha is None) == (iet_path is None):
         raise click.UsageError("provide exactly one of --alpha or --iet")
     if alpha is not None:
-        return Iet.rotation(_parse_alpha(alpha))
+        try:
+            return Iet.rotation(_parse_alpha(alpha))
+        except GapscopeError as exc:
+            raise click.UsageError(str(exc))
     return _load_iet(iet_path)
 
 
@@ -201,9 +183,6 @@ def _finish_verification(outcome: VerificationOutcome, fmt: str):
 FORMAT_OPT = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json"
 )
-PRECISION_OPT = click.option(
-    "--precision", type=int, default=None, help="working precision in bits"
-)
 SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
 
 
@@ -218,13 +197,10 @@ def main():
 @click.option("--iet", "iet_path", default=None, help="IET spec file (JSON)")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--raw", is_flag=True, help="keep duplicated orbit points and zero gaps")
-@PRECISION_OPT
 @FORMAT_OPT
-def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
+def cmd_gaps(alpha, iet_path, n, raw, fmt):
     """Sorted-orbit gap report with distinct-length clusters."""
     T = _require_map(alpha, iet_path)
-    if precision is not None and (iet_path is not None or fmt != "json"):
-        raise click.UsageError("--precision applies to --alpha with --format json only")
     try:
         report = gap_report(T, n, keep_duplicates=raw)
     except GapscopeError as exc:
@@ -232,7 +208,7 @@ def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
     # build only what the format prints: the JSON holds three arrays of N items
     data = report._json_fields() if fmt == "json" else {}
     if alpha is not None:
-        data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
+        data["alpha"] = _parse_alpha(alpha).to_json()
     rows = [c.to_json() for c in report.clusters] if fmt == "csv" else None
     text = "\n".join(
         [f"N={n} points={report.num_points} distinct={report.distinct_count}"]
@@ -245,18 +221,21 @@ def cmd_gaps(alpha, iet_path, n, raw, precision, fmt):
 @click.option("--alpha", required=True, help="rotation number (surd grammar)")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--sigma", "with_sigma", is_flag=True, help="include the sorting permutation")
-@PRECISION_OPT
 @FORMAT_OPT
-def cmd_predict(alpha, n, with_sigma, precision, fmt):
+def cmd_predict(alpha, n, with_sigma, fmt):
     """Three-gap prediction from the Farey bracket of alpha."""
     try:
-        pred = three_gap_predict(_parse_alpha(alpha), n, bits=_bits(precision))
+        pred = three_gap_predict(_parse_alpha(alpha), n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     data = pred.to_json()
-    data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
+    data["alpha"] = _parse_alpha(alpha).to_json()
     if with_sigma and not pred.is_rational:
-        data["sigma"] = np.array(sigma_recursion(n, pred.lower[1], pred.upper[1]), dtype=np.int64)
+        # the order of {k*alpha}, k < n, is constant on the Farey arc, so the
+        # mediant (a1 + a2)/(q1 + q2), whose n points are distinct, sorts it
+        (a1, q1), (a2, q2) = pred.lower, pred.upper
+        keys = (np.arange(n, dtype=np.int64) * (a1 + a2)) % (q1 + q2)
+        data["sigma"] = np.argsort(keys, kind="stable")
     if pred.is_rational:
         rows = [{"length": pred.length, "count": pred.q}]
         text = f"rational: {pred.q} gaps of length {pred.length!r}"
@@ -276,12 +255,11 @@ def cmd_predict(alpha, n, with_sigma, precision, fmt):
 @main.command("zipper")
 @click.option("--alpha", required=True, help="rotation number (surd grammar)")
 @click.option("--n", "n", type=int, required=True)
-@PRECISION_OPT
 @FORMAT_OPT
-def cmd_zipper(alpha, n, precision, fmt):
+def cmd_zipper(alpha, n, fmt):
     """Zippered-rectangle widths and heights for the sheared torus."""
     try:
-        zr = zipper_torus(_parse_alpha(alpha), n, bits=_bits(precision))
+        zr = zipper_torus(_parse_alpha(alpha), n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     rows = [
@@ -293,7 +271,7 @@ def cmd_zipper(alpha, n, precision, fmt):
         + [f"  width={w!r} height={h!r}" for w, h in zip(zr.widths, zr.heights)]
     )
     data = zr.to_json()
-    data["alpha"] = _parse_alpha(alpha).to_json(_bits(precision))
+    data["alpha"] = _parse_alpha(alpha).to_json()
     _emit(data, fmt, csv_rows=rows, csv_fields=["index", "width", "height"], text=text)
 
 
@@ -386,12 +364,11 @@ def cmd_verify():
 @cmd_verify.command("three-gap")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@PRECISION_OPT
 @FORMAT_OPT
-def verify_three_gap_cmd(alpha, n, precision, fmt):
+def verify_three_gap_cmd(alpha, n, fmt):
     """Measured gap report vs the three-gap prediction."""
     try:
-        outcome = verify_three_gap(_parse_alpha(alpha), n, bits=_bits(precision))
+        outcome = verify_three_gap(_parse_alpha(alpha), n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)
@@ -414,12 +391,11 @@ def verify_dplus2_cmd(iet_path, n, fmt):
 @cmd_verify.command("zipper")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@PRECISION_OPT
 @FORMAT_OPT
-def verify_zipper_cmd(alpha, n, precision, fmt):
+def verify_zipper_cmd(alpha, n, fmt):
     """Gap clusters vs zippered-rectangle width/height pairs."""
     try:
-        outcome = check_gap_zipper_correspondence(_parse_alpha(alpha), n, bits=_bits(precision))
+        outcome = check_gap_zipper_correspondence(_parse_alpha(alpha), n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
     _finish_verification(outcome, fmt)

@@ -28,9 +28,10 @@ class ParseError(GapscopeError, ValueError):
 class AmbiguousValueError(GapscopeError, ValueError):
     """A floating input is too close to a Farey fraction to classify.
 
-    Raised when an inexact input sits within the working-precision guard
-    band of a Farey element without being exactly equal to it.  Supplying
-    the value as an exact rational or surd expression resolves it.
+    Raised when an inexact input sits within the fixed guard band
+    (``numerics.GUARD_BAND``) of a Farey element without being exactly equal
+    to it.  Supplying the value as an exact rational or surd expression
+    resolves it.
     """
 
 

@@ -13,13 +13,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .iet import Iet, perm_inverse
-from .numerics import (
-    DEFAULT_PRECISION,
-    AlphaLike,
-    bracket_offsets,
-    coerce_alpha,
-    farey_neighbors,
-)
+from .numerics import AlphaLike, bracket_offsets, coerce_alpha, farey_neighbors
 from .outcomes import (
     VerificationOutcome,
     outcome_fail,
@@ -315,21 +309,15 @@ def _merged_clusters(pairs, eps: float) -> tuple[GapCluster, ...]:
     return tuple(GapCluster(length=l, count=c) for l, c in merged)
 
 
-def three_gap_predict(
-    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
-) -> ThreeGapPrediction:
-    """Exact three-gap structure from the Farey bracket of alpha at order N.
-
-    ``bits`` is the working precision: it narrows the ambiguity guard band
-    for floating inputs (exact inputs never need it).
-    """
-    bracket = farey_neighbors(alpha, N, bits=bits)
+def three_gap_predict(alpha: AlphaLike, N: int) -> ThreeGapPrediction:
+    """Exact three-gap structure from the Farey bracket of alpha at order N."""
+    bracket = farey_neighbors(alpha, N)
     if bracket.is_exact:
         q = bracket.exact.q
         return ThreeGapPrediction(n=N, kind="rational", q=q, length=1.0 / q)
     a1, q1 = bracket.lower.a, bracket.lower.q
     a2, q2 = bracket.upper.a, bracket.upper.q
-    A, C = (float(v) for v in bracket_offsets(alpha, bracket, bits))
+    A, C = (float(v) for v in bracket_offsets(alpha, bracket))
     return ThreeGapPrediction(
         n=N,
         kind="generic",
@@ -413,14 +401,12 @@ def _cluster_failures(expected, got, eps: float) -> list[dict]:
     ]
 
 
-def verify_three_gap(
-    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
-) -> VerificationOutcome:
+def verify_three_gap(alpha: AlphaLike, N: int) -> VerificationOutcome:
     """Compare the measured gap report of the rotation orbit against the
     three-gap prediction: cluster counts exactly, lengths within
     ``default_cluster_eps(N)``, and (generic case) the sorting permutation
     against the recursion."""
-    pred = three_gap_predict(alpha, N, bits=bits)
+    pred = three_gap_predict(alpha, N)
     report = gap_report(Iet.rotation(alpha), N)
     eps = default_cluster_eps(N)
     failures = _cluster_failures(pred.expected_clusters(), report.clusters, eps)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import SurdExpr, alpha_float, guard_band, parse_surd
+from .numerics import GUARD_BAND, SurdExpr, alpha_float, parse_surd
 
 LengthLike = Union[float, int, str, SurdExpr]
 
@@ -301,21 +301,20 @@ class Iet:
         """The IET realizing x -> T(R_angle(x)), on at most d + 1 intervals.
 
         The rotation's partition is refined by the rotation-preimages of
-        this map's breakpoints; pieces shorter than the working zero-drop
-        threshold are discarded and the rest renormalized.
+        this map's breakpoints; pieces no longer than ``GUARD_BAND`` are
+        discarded and the rest renormalized.
         """
         a = alpha_float(angle)
         if not 0.0 < a < 1.0:
             raise DomainError(f"rotation number must lie in (0, 1), got {a}")
-        drop = guard_band()
         cuts = {(b - a) % 1.0 for b in self.beta[1:-1]}
         cuts.add((1.0 - a) % 1.0)
-        points = sorted(c for c in cuts if drop < c < 1.0 - drop)
+        points = sorted(c for c in cuts if GUARD_BAND < c < 1.0 - GUARD_BAND)
         grid = [0.0] + points + [1.0]
         # merge numerically equal cut points
         merged = [grid[0]]
         for c in grid[1:]:
-            if c - merged[-1] > drop:
+            if c - merged[-1] > GUARD_BAND:
                 merged.append(c)
         merged[-1] = 1.0
 
@@ -330,7 +329,7 @@ class Iet:
             seg_len = right - left
             if (
                 lengths
-                and abs(image_left[-1] + lengths[-1] - (val - (mid - left))) <= drop
+                and abs(image_left[-1] + lengths[-1] - (val - (mid - left))) <= GUARD_BAND
             ):
                 # the cut turned out fake: the composite is continuous here
                 lengths[-1] += seg_len

@@ -4,9 +4,10 @@ modular inverses, surd expressions, and the real dilogarithm.
 Exact inputs (rationals and quadratic-surd expressions) are compared
 against fractions with integer arithmetic only, so Farey bracketing is
 exact for orders up to 10**6 and beyond.  Floating inputs are treated as
-the exact dyadic rationals they are, with a guard band of
-``2**-(bits - 8)`` around Farey elements; anything inside the band that
-is not an exact hit raises :class:`AmbiguousValueError`.
+the exact dyadic rationals they are, with a fixed guard band of
+:data:`GUARD_BAND` around Farey elements; anything inside the band that is
+not an exact hit raises :class:`AmbiguousValueError`, and the value should
+then be given as an exact rational or surd.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ import numpy as np
 
 from .errors import AmbiguousValueError, DomainError, NoInverseError, ParseError
 
+#: default bits of surd evaluation; at 53 a surd's JSON "decimal" has 15 digits
 DEFAULT_PRECISION = 53
+
+#: width of the ambiguity band of float inputs around exact values: a float
+#: this close to a Farey fraction is refused, and ``Iet.compose_rotation``
+#: drops pieces this short
+GUARD_BAND = 2.0**-45
 
 PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
 
 #: small primes used to pull square factors out of radicands
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def guard_band(bits: int = DEFAULT_PRECISION) -> float:
-    """Width of the ambiguity band around exact values at ``bits`` precision."""
-    return 2.0 ** (-(bits - 8))
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +523,13 @@ def _comparator(expr: SurdExpr) -> Callable[[int, int], int]:
     return expr.compare_rational
 
 
-def farey_neighbors(
-    x: AlphaLike, N: int, bits: int = DEFAULT_PRECISION, guard: bool = True
-) -> FareyBracket:
+def farey_neighbors(x: AlphaLike, N: int, guard: bool = True) -> FareyBracket:
     """Locate x in the Farey fractions of order N.
 
     Returns an exact hit, or the unique consecutive pair a1/q1 < x < a2/q2
     (which satisfies a2*q1 - a1*q2 = 1 and q1 + q2 > N).  Exact inputs are
     resolved with integer arithmetic; float inputs raise
-    :class:`AmbiguousValueError` inside the 2**-(bits-8) guard band unless
+    :class:`AmbiguousValueError` inside the :data:`GUARD_BAND` unless
     ``guard`` is off (appropriate for integration-window endpoints, where a
     sub-band misclassification is harmless).
     """
@@ -547,7 +547,7 @@ def farey_neighbors(
         med_a, med_q = lo_a + hi_a, lo_q + hi_q
         side = cmp(med_a, med_q)
         if side == 0:
-            return _checked_bracket(expr, inexact, bits, N, exact=(med_a, med_q))
+            return _checked_bracket(expr, inexact, N, exact=(med_a, med_q))
         if side < 0:
             # x < mediant: left steps hi_k = (k*lo + hi) decrease toward lo.
             # Take the largest batch still above x (capped by denominator);
@@ -560,17 +560,15 @@ def farey_neighbors(
             k_cap = (N - lo_q) // hi_q
             k = _max_k(lambda k: cmp(lo_a + k * hi_a, lo_q + k * hi_q) > 0, k_cap)
             lo_a, lo_q = lo_a + k * hi_a, lo_q + k * hi_q
-    return _checked_bracket(expr, inexact, bits, N, pair=((lo_a, lo_q), (hi_a, hi_q)))
+    return _checked_bracket(expr, inexact, N, pair=((lo_a, lo_q), (hi_a, hi_q)))
 
 
-def bracket_offsets(
-    x: AlphaLike, bracket: FareyBracket, bits: int = DEFAULT_PRECISION
-) -> tuple[Fraction, Fraction]:
+def bracket_offsets(x: AlphaLike, bracket: FareyBracket) -> tuple[Fraction, Fraction]:
     """The offsets A = q1*x - a1 and C = a2 - q2*x of x from its Farey
     neighbors a1/q1 < x < a2/q2, as exact fractions.  An irrational x is
-    resolved to max(96, bits) bits."""
+    resolved to 96 bits."""
     expr, _ = coerce_alpha(x)
-    xf = expr.as_fraction() if expr.is_rational else expr.eval_fraction(max(96, bits))
+    xf = expr.as_fraction() if expr.is_rational else expr.eval_fraction(96)
     lower, upper = bracket.lower, bracket.upper
     return lower.q * xf - lower.a, upper.a - upper.q * xf
 
@@ -589,19 +587,17 @@ def _max_k(pred, k_cap: int) -> int:
     return lo
 
 
-def _checked_bracket(expr, inexact, bits, N, exact=None, pair=None) -> FareyBracket:
+def _checked_bracket(expr, inexact, N, exact=None, pair=None) -> FareyBracket:
     if exact is not None:
         a, q = exact
         return FareyBracket(order=N, exact=FareyFraction(a=a, q=q))
     (a1, q1), (a2, q2) = pair
     if inexact:
         x = expr.as_fraction()
-        band = Fraction(guard_band(bits))
-        if min(x - Fraction(a1, q1), Fraction(a2, q2) - x) < band:
+        if min(x - Fraction(a1, q1), Fraction(a2, q2) - x) < GUARD_BAND:
             raise AmbiguousValueError(
-                f"input is within {float(band):.3g} of a Farey fraction of order {N} "
-                "but not exactly equal; supply an exact rational or surd, or raise "
-                "the working precision"
+                f"input is within {GUARD_BAND:.3g} of a Farey fraction of order {N} "
+                "but not exactly equal; supply it as an exact rational or surd"
             )
     return FareyBracket(
         order=N,

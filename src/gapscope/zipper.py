@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError
 from .gaps import _cluster_failures, _merged_clusters, default_cluster_eps, gap_report
 from .iet import Iet
-from .numerics import (
-    DEFAULT_PRECISION,
-    AlphaLike,
-    bracket_offsets,
-    coerce_alpha,
-    farey_neighbors,
-    mod_inverse,
-)
+from .numerics import AlphaLike, bracket_offsets, coerce_alpha, farey_neighbors, mod_inverse
 from .outcomes import VerificationOutcome, outcome_fail, outcome_pass
 
 
@@ -86,14 +79,12 @@ class ZipperedRectangles:
         )
 
 
-def zipper_torus(
-    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
-) -> ZipperedRectangles:
+def zipper_torus(alpha: AlphaLike, N: int) -> ZipperedRectangles:
     """Width/height data over a horizontal segment of length N on the torus
     sheared by alpha."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    bracket = farey_neighbors(alpha, N, bits=bits)
+    bracket = farey_neighbors(alpha, N)
     if bracket.is_exact:
         a, q = bracket.exact.a, bracket.exact.q
         if q < 2:
@@ -106,7 +97,7 @@ def zipper_torus(
             case="rational",
         )
     q1, q2 = bracket.lower.q, bracket.upper.q
-    A, C = (float(v) for v in bracket_offsets(alpha, bracket, bits))
+    A, C = (float(v) for v in bracket_offsets(alpha, bracket))
     return ZipperedRectangles(
         widths=(1.0 - q1 / N, (q1 + q2) / N - 1.0, 1.0 - q2 / N),
         heights=(N * A, N * A + N * C, N * C),
@@ -132,14 +123,12 @@ def cutoff_f(zr: ZipperedRectangles, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_gap_zipper_correspondence(
-    alpha: AlphaLike, N: int, bits: int = DEFAULT_PRECISION
-) -> VerificationOutcome:
+def check_gap_zipper_correspondence(alpha: AlphaLike, N: int) -> VerificationOutcome:
     """Verify that the zippered rectangles, read as gap clusters (length
     height/N, count width*N, equal lengths merged), match the gap clusters
     of the rotation: counts exactly, lengths within
     ``default_cluster_eps(N)``."""
-    zr = zipper_torus(alpha, N, bits=bits)
+    zr = zipper_torus(alpha, N)
     report = gap_report(Iet.rotation(alpha), N)
     eps = default_cluster_eps(N)
     expected = _merged_clusters(

@@ -41,8 +41,8 @@ def planted_prediction(monkeypatch):
     long."""
     real = gaps_module.three_gap_predict
 
-    def planted(alpha, N, bits):
-        pred = real(alpha, N, bits)
+    def planted(alpha, N):
+        pred = real(alpha, N)
         lengths = (pred.lengths[0] * (1 + 1e-6), *pred.lengths[1:])
         return dataclasses.replace(pred, lengths=lengths)
 
@@ -56,8 +56,8 @@ def planted_height(monkeypatch):
     check of ``ZipperedRectangles``."""
     real = zipper_module.zipper_torus
 
-    def planted(alpha, N, bits):
-        zr = real(alpha, N, bits)
+    def planted(alpha, N):
+        zr = real(alpha, N)
         heights = (zr.heights[0] * (1 + 1e-6), *zr.heights[1:])
         return SimpleNamespace(widths=zr.widths, heights=heights, case=zr.case)
 

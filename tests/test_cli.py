@@ -19,7 +19,7 @@ from gapscope.gaps import (
     three_gap_predict,
 )
 from gapscope.iet import Iet
-from gapscope.numerics import DEFAULT_PRECISION, parse_surd
+from gapscope.numerics import parse_surd
 from gapscope.distribution import DistributionCurve
 from gapscope.zipper import ZipperedRectangles
 
@@ -253,11 +253,32 @@ def test_unknown_flag_exits_two(runner):
         ["gaps", "--iet", "IET", "--n", "8", "--precision", "80"],
         ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80", "--format", "text"],
         ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80", "--format", "csv"],
+        ["gaps", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["predict", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["zipper", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["verify", "zipper", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
     ],
 )
 def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):
     args = [iet_spec_file if a == "IET" else a for a in args]
     assert runner.invoke(main, args).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gaps", "--alpha", "0", "--n", "5"],
+        ["gaps", "--alpha", "1", "--n", "5"],
+        ["graph", "--alpha", "0", "--n", "5"],
+        ["verify", "bosh", "--alpha", "0", "--n", "5"],
+        ["verify", "forest", "--alpha", "1", "--n", "5"],
+    ],
+)
+def test_alpha_outside_unit_interval_exits_two(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "rotation number" in result.output
 
 
 def test_malformed_surd_exits_two_with_position(runner):
@@ -275,13 +296,30 @@ def test_invalid_iet_file_exits_two(runner, tmp_path):
     assert runner.invoke(main, ["gaps", "--iet", str(worse), "--n", "5"]).exit_code == 2
 
 
-def test_env_precision_default(runner, monkeypatch):
-    monkeypatch.setenv("GAPSCOPE_PRECISION", "80")
-    data = run_json(runner, ["predict", "--alpha", "sqrt(1/2)", "--n", "9"])
-    assert data["counts"] == [6, 1, 2]
+def test_precision_env_var_is_ignored(runner, monkeypatch):
+    args = ["predict", "--alpha", "sqrt(1/2)", "--n", "9"]
+    plain = runner.invoke(main, args)
     monkeypatch.setenv("GAPSCOPE_PRECISION", "not-a-number")
-    result = runner.invoke(main, ["predict", "--alpha", "sqrt(1/2)", "--n", "9"])
-    assert result.exit_code == 2
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (0, plain.output)
+
+
+@pytest.mark.parametrize(
+    "alpha, decimal",
+    [
+        ("sqrt(1/2)", "0.707106781186547"),
+        ("3/7", "0.428571428571428"),
+        ("(1 + 2*sqrt(2))/7", "0.546918160678027"),
+        ("0.25", "0.250000000000000"),
+    ],
+)
+def test_alpha_json_renders_15_digits(runner, alpha, decimal):
+    rendered = parse_surd(alpha).to_json()
+    assert rendered["decimal"] == decimal
+    if rendered["kind"] == "decimal":
+        assert rendered["text"] == decimal
+    for cmd in ("gaps", "predict", "zipper"):
+        assert run_json(runner, [cmd, "--alpha", alpha, "--n", "9"])["alpha"] == rendered
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +395,28 @@ def test_gaps_json_is_stdlib_dumps_of_the_report(runner, iet_spec_file, demo_iet
     T = Iet.rotation(parse_surd(alpha)) if alpha is not None else demo_iet
     data = gap_report(T, N, keep_duplicates=raw).to_json()
     if alpha is not None:
-        data["alpha"] = parse_surd(alpha).to_json(DEFAULT_PRECISION)
+        data["alpha"] = parse_surd(alpha).to_json()
     assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def test_predict_sigma_json_is_stdlib_dumps(runner):
-    alpha, N = "sqrt(2/7)", 5000
+@pytest.mark.parametrize(
+    "alpha, N",
+    [
+        ("sqrt(2/7)", 5000),
+        ("sqrt(1/2)", 1),
+        ("sqrt(5) - 2", 2),
+        ("sqrt(11/13)", 3),
+        ("sqrt(1/2)", 17),
+        ("sqrt(5) - 2", 1000),
+        ("sqrt(11/13)", 99991),
+        ("sqrt(2/7)", 10**6),
+    ],
+)
+def test_predict_sigma_json_is_stdlib_dumps(runner, alpha, N):
     out = runner.invoke(main, ["predict", "--alpha", alpha, "--n", str(N), "--sigma"],
                         catch_exceptions=False).output
     pred = three_gap_predict(parse_surd(alpha), N)
     data = pred.to_json()
-    data["alpha"] = parse_surd(alpha).to_json(DEFAULT_PRECISION)
+    data["alpha"] = parse_surd(alpha).to_json()
     data["sigma"] = list(sigma_recursion(N, pred.lower[1], pred.upper[1]))
     assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
