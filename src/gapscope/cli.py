@@ -26,7 +26,7 @@ from .distribution import (
     verify_distribution_convergence,
 )
 from .errors import GapscopeError, ParseError
-from .gaps import gap_report, three_gap_predict, verify_dplus2, verify_three_gap
+from .gaps import _mediant_walk, gap_report, three_gap_predict, verify_dplus2, verify_three_gap
 from .graphs import (
     boshernitzan_bound_check,
     fgaps_build,
@@ -231,11 +231,7 @@ def cmd_predict(alpha, n, with_sigma, fmt):
     data = pred.to_json()
     data["alpha"] = _parse_alpha(alpha).to_json()
     if with_sigma and not pred.is_rational:
-        # the order of {k*alpha}, k < n, is constant on the Farey arc, so the
-        # mediant (a1 + a2)/(q1 + q2), whose n points are distinct, sorts it
-        (a1, q1), (a2, q2) = pred.lower, pred.upper
-        keys = (np.arange(n, dtype=np.int64) * (a1 + a2)) % (q1 + q2)
-        data["sigma"] = np.argsort(keys, kind="stable")
+        data["sigma"] = _mediant_walk(n, pred.lower[1], pred.upper[1])
     if pred.is_rational:
         rows = [{"length": pred.length, "count": pred.q}]
         text = f"rational: {pred.q} gaps of length {pred.length!r}"

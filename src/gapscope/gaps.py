@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, GapscopeError
 from .iet import Iet, perm_inverse
 from .numerics import AlphaLike, bracket_offsets, coerce_alpha, farey_neighbors
 from .outcomes import (
@@ -53,12 +53,16 @@ def orbit(T: Iet, N: int) -> np.ndarray:
 
     Rotations take the direct fractional-part route {n * theta}, which is
     slightly more accurate than iterated application; general IETs iterate.
+    The fractional part is taken as x - floor(x), which for x >= 0 equals
+    x % 1.0 bit for bit (both are exact) and is several times faster.
     """
     if N < 1:
         raise DomainError(f"orbit length must be >= 1, got {N}")
     if T.d == 2 and T.pi == (2, 1):
-        theta = T.lengths[1]
-        return np.arange(N, dtype=float) * theta % 1.0
+        x = np.arange(N, dtype=float)
+        x *= T.lengths[1]
+        x -= np.floor(x)
+        return x
     return T.iterate(0.0, N)
 
 
@@ -186,20 +190,35 @@ def gap_report(
     reports exactly q gaps of length 1/q.  Pass ``keep_duplicates=True``
     for the raw N-point multiset including zero gaps.  ``points`` may carry
     a precomputed orbit segment.
+
+    A rotation orbit is sorted without comparisons when it can be: the
+    Farey bracket of theta at order N gives the order of the exact points
+    (the mediant walk), and that candidate is kept only if it sorts the
+    float points strictly increasingly, which makes it the unique sorting
+    permutation.  Otherwise (theta a Farey fraction of order N, or float
+    points that collide or misorder near one) a comparison sort runs, as it
+    does for every other IET.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     eps = default_cluster_eps(N)
     pts = orbit(T, N) if points is None else np.asarray(points, dtype=float)
-    # with distinct keys every sort gives the same permutation, so the
-    # stable one (ties kept in exponent order) is needed only on a tie
-    order = np.argsort(pts)
-    sorted_pts = pts[order]
-    steps = np.diff(sorted_pts)
-    if not (steps > 0).all():
-        order = np.argsort(pts, kind="stable")
+    order = _rotation_walk(T, N) if len(pts) == N else None
+    if order is not None:
         sorted_pts = pts[order]
         steps = np.diff(sorted_pts)
+        if not (steps > 0).all():
+            order = None
+    if order is None:
+        # with distinct keys every sort gives the same permutation, so the
+        # stable one (ties kept in exponent order) is needed only on a tie
+        order = np.argsort(pts)
+        sorted_pts = pts[order]
+        steps = np.diff(sorted_pts)
+        if not (steps > 0).all():
+            order = np.argsort(pts, kind="stable")
+            sorted_pts = pts[order]
+            steps = np.diff(sorted_pts)
 
     dedup = False
     if not keep_duplicates and len(sorted_pts) > 1:
@@ -228,6 +247,47 @@ def gap_report(
         clusters=cluster_lengths(gaps, eps),
         deduplicated=dedup,
     )
+
+
+def _rotation_walk(T: Iet, N: int) -> Optional[np.ndarray]:
+    """The candidate sorting permutation of the first N orbit points of a
+    rotation: the mediant walk on the Farey arc of theta at order N.  None
+    when T is not a rotation or theta is a Farey fraction of order N."""
+    if not (T.d == 2 and T.pi == (2, 1)):
+        return None
+    try:
+        bracket = farey_neighbors(T.lengths[1], N, guard=False)
+    except GapscopeError:
+        return None
+    if bracket.is_exact:
+        return None
+    return _mediant_walk(N, bracket.lower.q, bracket.upper.q)
+
+
+_WALK_BLOCK = 1 << 16
+
+
+def _mediant_walk(N: int, q1: int, q2: int) -> np.ndarray:
+    """``sigma_recursion(N, q1, q2)`` as an int64 array, by array arithmetic.
+
+    Every alpha on the arc between the Farey neighbours a1/q1 < a2/q2 of
+    order N sorts {n*alpha}, n < N, alike, and so does the mediant
+    (a1 + a2)/(q1 + q2).  Its multiples are the fractions j/(q1 + q2), and
+    q1 * (a1 + a2) = 1 + a1 * (q1 + q2) puts j/(q1 + q2) at exponent
+    j * q1 mod (q1 + q2).  The walk over j skips the exponents >= N.  It
+    runs in blocks of j, so it holds little more than its result.
+    """
+    Q = q1 + q2
+    walk = np.empty(N, dtype=np.int64)
+    filled = 0
+    for start in range(0, Q, _WALK_BLOCK):
+        k = np.arange(start, min(start + _WALK_BLOCK, Q), dtype=np.int64)
+        k *= q1
+        k %= Q
+        k = k[k < N]
+        walk[filled:filled + len(k)] = k
+        filled += len(k)
+    return walk
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapscope import gaps as gaps_module
 from gapscope.errors import DomainError
 from gapscope.gaps import (
     GapCluster,
@@ -21,6 +22,7 @@ from gapscope.gaps import (
     verify_dplus2,
     verify_three_gap,
     _follows_sigma_recursion,
+    _mediant_walk,
 )
 from gapscope.iet import Iet, random_iet
 from gapscope.zipper import check_gap_zipper_correspondence
@@ -49,6 +51,17 @@ def test_rotation_orbit_fractional_parts():
     # rotations take the direct fractional parts {n * theta}
     got = orbit(Iet.rotation("sqrt(1/2)"), 3)
     assert np.allclose(got, [0.0, 0.7071067811865476, 0.41421356237309515])
+
+
+REFERENCE_SURDS = ["sqrt(1/2)", "sqrt(2/7)", "sqrt(5) - 2", "sqrt(11/13)"]
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1 - 2.0**-53, *REFERENCE_SURDS])
+def test_rotation_orbit_is_the_remainder_bit_for_bit(theta):
+    T = Iet.rotation(theta)
+    for N in (1, 2, 17, 1000, 99991, 10**6):
+        want = np.arange(N, dtype=float) * T.lengths[1] % 1.0
+        assert np.array_equal(orbit(T, N).view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +168,107 @@ def test_gap_report_fields_are_read_only_arrays(alpha, N, raw):
                 arr[0] = 0
     assert all(type(v) is float for v in data["points"] + data["gaps"])
     assert all(type(v) is int for v in data["sigma"])
+
+
+# ---------------------------------------------------------------------------
+# Rotation reports sorted by the mediant walk
+# ---------------------------------------------------------------------------
+
+
+def test_mediant_walk_is_the_sigma_recursion():
+    pairs = 0
+    for N in range(1, 41):
+        for q1 in range(1, N + 1):
+            for q2 in range(N + 1 - q1, N + 1):
+                if math.gcd(q1, q2) == 1:
+                    walk = _mediant_walk(N, q1, q2)
+                    assert walk.dtype == np.int64
+                    assert walk.tolist() == list(sigma_recursion(N, q1, q2))
+                    pairs += 1
+    assert pairs == 6979  # every coprime q1, q2 <= N < q1 + q2 for N <= 40
+
+
+def _comparison_sorted_report(monkeypatch, T, N, keep_duplicates):
+    """The report with the walk switched off: the comparison sort alone."""
+    with monkeypatch.context() as m:
+        m.setattr(gaps_module, "_mediant_walk", lambda N, q1, q2: None)
+        return gap_report(T, N, keep_duplicates=keep_duplicates)
+
+
+def _assert_same_report(got, want):
+    assert (got.n, got.eps, got.clusters, got.deduplicated) == (
+        want.n, want.eps, want.clusters, want.deduplicated
+    )
+    for a, b in ((got.points, want.points), (got.sigma, want.sigma), (got.gaps, want.gaps)):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _walk_spy(m):
+    """Record every candidate the walk hands to ``gap_report``."""
+    real, seen = gaps_module._mediant_walk, []
+
+    def spy(N, q1, q2):
+        seen.append(real(N, q1, q2))
+        return seen[-1]
+
+    m.setattr(gaps_module, "_mediant_walk", spy)
+    return seen
+
+
+_SEEDED_THETAS = [float(t) for t in np.random.default_rng(27).uniform(1e-3, 1 - 1e-3, 2)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 1000, 99991, 10**6])
+@pytest.mark.parametrize("theta", [*REFERENCE_SURDS, *_SEEDED_THETAS])
+def test_walk_sorted_report_equals_the_comparison_sort(monkeypatch, theta, N):
+    T = Iet.rotation(theta)
+    for keep in (False, True):
+        want = _comparison_sorted_report(monkeypatch, T, N, keep)
+        with monkeypatch.context() as m:
+            seen = _walk_spy(m)
+            _assert_same_report(gap_report(T, N, keep_duplicates=keep), want)
+        # the walk was taken: its candidate is the raw report's sigma
+        assert len(seen) == 1
+        assert not keep or np.array_equal(seen[0], want.sigma)
+
+
+@pytest.mark.parametrize(
+    "theta, N",
+    [(1 / 3, 17), (1 / 3, 10**4), (0.25, 1000)]
+    + [(a / q + s * 2.0**-50, N) for a, q, N in ((1, 3, 1000), (2, 7, 1000), (1, 2, 1000),
+                                               (13, 97, 10**4), (355, 1000, 10**4))
+       for s in (1, -1)],
+)
+def test_walk_is_rejected_near_a_farey_fraction(monkeypatch, theta, N):
+    T = Iet.rotation(theta)
+    pts = orbit(T, N)
+    for keep in (False, True):
+        want = _comparison_sorted_report(monkeypatch, T, N, keep)
+        with monkeypatch.context() as m:
+            seen = _walk_spy(m)
+            _assert_same_report(gap_report(T, N, keep_duplicates=keep), want)
+        # the fallback ran: there was no candidate (theta is a Farey
+        # fraction of order N), or one that does not sort the points strictly
+        assert len(seen) == (0 if theta == 0.25 else 1)
+        assert all(not (np.diff(pts[c]) > 0).all() for c in seen)
+
+
+@pytest.mark.parametrize("N", [17, 1000, 10**5])
+@pytest.mark.parametrize("theta", REFERENCE_SURDS)
+def test_planted_wrong_walk_falls_back_to_the_sort(monkeypatch, theta, N):
+    T = Iet.rotation(theta)
+    real = gaps_module._mediant_walk
+    for keep in (False, True):
+        want = _comparison_sorted_report(monkeypatch, T, N, keep)
+        for i, j in ((0, 1), (N // 3, N - 1)):
+            def planted(N, q1, q2):
+                walk = real(N, q1, q2)
+                walk[[i, j]] = walk[[j, i]]
+                return walk
+
+            with monkeypatch.context() as m:
+                m.setattr(gaps_module, "_mediant_walk", planted)
+                _assert_same_report(gap_report(T, N, keep_duplicates=keep), want)
 
 
 # ---------------------------------------------------------------------------
