@@ -155,8 +155,6 @@ def _emit(data: dict, fmt: str, csv_rows=None, csv_fields=None, text=None):
     if fmt == "json":
         click.echo(_dumps(data))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise click.UsageError("csv output is not defined for this command")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
         writer.writeheader()
@@ -164,7 +162,7 @@ def _emit(data: dict, fmt: str, csv_rows=None, csv_fields=None, text=None):
             writer.writerow(row)
         click.echo(buf.getvalue(), nl=False)
     else:
-        click.echo(text if text is not None else _dumps(data))
+        click.echo(text)
 
 
 def _finish_verification(outcome: VerificationOutcome, fmt: str):
@@ -182,6 +180,10 @@ def _finish_verification(outcome: VerificationOutcome, fmt: str):
 
 FORMAT_OPT = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json"
+)
+#: for reports with no rows to tabulate: click refuses csv before any work
+JSON_TEXT_OPT = click.option(
+    "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
 )
 SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
 
@@ -272,35 +274,33 @@ def cmd_zipper(alpha, n, fmt):
 
 
 @main.command("dist")
-@click.option("--kind", type=click.Choice(["exact", "empirical", "limit"]), default="exact")
+@click.option("--kind", type=click.Choice(["exact", "empirical"]), default="exact")
 @click.option("--z", "z_single", type=float, default=None)
 @click.option("--z-grid", "z_grid", default=None, help="START:STOP:STEP")
-@click.option("--n", "n", type=int, default=None)
+@click.option("--n", "n", type=int, required=True)
 @click.option("--range", "range_", default="0,1", show_default=True)
 @click.option("--iet", "iet_path", default=None, help="IET spec (empirical kind)")
-@click.option("--grid", type=int, default=200, show_default=True, help="alpha grid (empirical)")
+@click.option("--grid", type=int, default=None, help="alpha grid (empirical kind, default 200)")
 @SEED_OPT
 @FORMAT_OPT
 def cmd_dist(kind, z_single, z_grid, n, range_, iet_path, grid, seed, fmt):
-    """Average gap distribution: exact (rotations), empirical (IET
-    compositions), or the closed-form limit."""
+    """Average gap distribution: exact (rotations) or empirical (IET
+    compositions).  The closed-form limit is the limit command."""
     if (z_single is None) == (z_grid is None):
         raise click.UsageError("provide exactly one of --z or --z-grid")
+    if kind == "exact":
+        for flag, value in (("--iet", iet_path), ("--grid", grid)):
+            if value is not None:
+                raise click.UsageError(f"{flag} applies only to --kind empirical")
+    elif iet_path is None:
+        raise click.UsageError("--iet is required for kind=empirical")
     z_values = [z_single] if z_single is not None else _parse_z_grid(z_grid)
     a, b = _parse_range(range_)
     try:
-        if kind == "limit":
-            z_values = [z for z in z_values if z > 0]
-            curve = limit_curve(z_values)
-        elif kind == "empirical":
-            if n is None:
-                raise click.UsageError("--n is required for kind=empirical")
-            if iet_path is None:
-                raise click.UsageError("--iet is required for kind=empirical")
+        if kind == "empirical":
+            grid = 200 if grid is None else grid
             curve = iet_curve(_load_iet(iet_path), z_values, n, grid, a=a, b=b)
         else:
-            if n is None:
-                raise click.UsageError("--n is required for kind=exact")
             curve = rotation_curve(z_values, n, a=a, b=b)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
@@ -341,7 +341,7 @@ def cmd_limit(z_single, z_grid, fmt):
 @click.option("--iet", "iet_path", default=None, help="IET spec file (JSON)")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--kind", type=click.Choice(["ggaps", "fgaps"]), default="ggaps")
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def cmd_graph(alpha, iet_path, n, kind, fmt):
     """Gap digraph or slot forest, as JSON or an edge-list text file."""
     T = _require_map(alpha, iet_path)
@@ -349,7 +349,8 @@ def cmd_graph(alpha, iet_path, n, kind, fmt):
         obj = ggaps_build(T, n) if kind == "ggaps" else fgaps_build(T, n)
     except GapscopeError as exc:
         raise click.UsageError(str(exc))
-    _emit(obj.to_json(), fmt, text=obj.to_edge_list())
+    # build only what the format prints: either form lists every vertex
+    click.echo(_dumps(obj.to_json()) if fmt == "json" else obj.to_edge_list())
 
 
 @main.group("verify")
@@ -360,7 +361,7 @@ def cmd_verify():
 @cmd_verify.command("three-gap")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def verify_three_gap_cmd(alpha, n, fmt):
     """Measured gap report vs the three-gap prediction."""
     try:
@@ -373,7 +374,7 @@ def verify_three_gap_cmd(alpha, n, fmt):
 @cmd_verify.command("dplus2")
 @click.option("--iet", "iet_path", required=True)
 @click.option("--n", "n", type=int, required=True)
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def verify_dplus2_cmd(iet_path, n, fmt):
     """Distinct-gap-length count vs the d+1 / d+2 and 3(d-1) bounds."""
     T = _load_iet(iet_path)
@@ -387,7 +388,7 @@ def verify_dplus2_cmd(iet_path, n, fmt):
 @cmd_verify.command("zipper")
 @click.option("--alpha", required=True)
 @click.option("--n", "n", type=int, required=True)
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def verify_zipper_cmd(alpha, n, fmt):
     """Gap clusters vs zippered-rectangle width/height pairs."""
     try:
@@ -401,7 +402,7 @@ def verify_zipper_cmd(alpha, n, fmt):
 @click.option("--alpha", default=None)
 @click.option("--iet", "iet_path", default=None)
 @click.option("--n", "n", type=int, required=True)
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def verify_bosh_cmd(alpha, iet_path, n, fmt):
     """Distinct vertex weights vs 3(#E - #V) on the gap digraph."""
     T = _require_map(alpha, iet_path)
@@ -416,7 +417,7 @@ def verify_bosh_cmd(alpha, iet_path, n, fmt):
 @click.option("--alpha", default=None)
 @click.option("--iet", "iet_path", default=None)
 @click.option("--n", "n", type=int, required=True)
-@FORMAT_OPT
+@JSON_TEXT_OPT
 def verify_forest_cmd(alpha, iet_path, n, fmt):
     """Forest-derived distinct lengths vs the gap-report clusters."""
     T = _require_map(alpha, iet_path)
@@ -432,13 +433,12 @@ def verify_forest_cmd(alpha, iet_path, n, fmt):
               show_default=True)
 @click.option("--n", "n_values", type=int, multiple=True, default=(50, 200, 800),
               show_default=True)
-@click.option("--tol", type=float, default=0.01, show_default=True)
-@FORMAT_OPT
-def verify_dist_cmd(z_values, n_values, tol, fmt):
+@JSON_TEXT_OPT
+def verify_dist_cmd(z_values, n_values, fmt):
     """Finite-N exact averages approach the closed-form limit."""
     try:
         outcome = verify_distribution_convergence(
-            z_values=tuple(z_values), n_values=tuple(n_values), tol_final=tol
+            z_values=tuple(z_values), n_values=tuple(n_values)
         )
     except GapscopeError as exc:
         raise click.UsageError(str(exc))

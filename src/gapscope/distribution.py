@@ -305,17 +305,6 @@ class DistributionCurve:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "DistributionCurve":
-        return DistributionCurve(
-            z_values=tuple(p["z"] for p in data["points"]),
-            values=tuple(p["value"] for p in data["points"]),
-            N=data["n"],
-            a=data["a"],
-            b=data["b"],
-            kind=data["curve_kind"],
-        )
-
     def csv_rows(self):
         for z, v in zip(self.z_values, self.values):
             yield {"z": z, "value": v, "N": self.N, "a": self.a, "b": self.b, "kind": self.kind}
@@ -342,16 +331,19 @@ def limit_curve(z_values: Sequence[float]) -> DistributionCurve:
 # Convergence verification
 # ---------------------------------------------------------------------------
 
+#: the largest error of the exact average at the largest N
+_FINAL_TOL = 0.01
+#: the largest jump of the limit across z = 1 and z = 2 at z -+ 1e-6
+_CONTINUITY_TOL = 1e-4
+
 
 def verify_distribution_convergence(
     z_values: Sequence[float] = (0.25, 0.5, 0.75),
     n_values: Sequence[int] = (50, 200, 800),
-    tol_final: float = 0.01,
-    continuity_tol: float = 1e-4,
 ) -> VerificationOutcome:
     """Check that the exact finite-N average approaches the closed-form
     limit: the error at each z is nonincreasing along ``n_values`` and at
-    most ``tol_final`` at the largest N, and the limit itself is continuous
+    most ``_FINAL_TOL`` at the largest N, and the limit itself is continuous
     across the branch points z = 1 and z = 2."""
     failures = []
     errors = {}
@@ -362,22 +354,22 @@ def verify_distribution_convergence(
         errors[z] = errs
         if any(e2 > e1 for e1, e2 in zip(errs, errs[1:])):
             failures.append({"what": "monotone error", "z": z, "errors": errs})
-        if errs[-1] > tol_final:
+        if errs[-1] > _FINAL_TOL:
             failures.append(
-                {"what": "final error", "z": z, "error": errs[-1], "tol": tol_final}
+                {"what": "final error", "z": z, "error": errs[-1], "tol": _FINAL_TOL}
             )
     for boundary in (1.0, 2.0):
         jump = abs(
             limit_gap_distribution(boundary - 1e-6)
             - limit_gap_distribution(boundary + 1e-6)
         )
-        if jump > continuity_tol:
+        if jump > _CONTINUITY_TOL:
             failures.append({"what": "continuity", "z": boundary, "jump": jump})
     details = {
         "z_values": list(z_values),
         "n_values": list(n_values),
         "errors": {str(z): errors[z] for z in z_values},
-        "tol_final": tol_final,
+        "tol_final": _FINAL_TOL,
     }
     if failures:
         return outcome_fail("dist-convergence", failures, **details)

@@ -151,18 +151,6 @@ class GapReport:
             for k, v in self._json_fields().items()
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "GapReport":
-        return GapReport(
-            n=data["n"],
-            eps=data["eps"],
-            points=_frozen(data["points"], np.float64),
-            sigma=_frozen(data["sigma"], np.int64),
-            gaps=_frozen(data["gaps"], np.float64),
-            clusters=tuple(GapCluster(c["length"], c["count"]) for c in data["clusters"]),
-            deduplicated=data["deduplicated"],
-        )
-
 
 def cluster_lengths(values: Sequence[float], eps: float) -> tuple[GapCluster, ...]:
     """Group sorted-by-value lengths into clusters: a new cluster starts
@@ -339,21 +327,6 @@ class ThreeGapPrediction:
             )
         return out
 
-    @staticmethod
-    def from_json(data: dict) -> "ThreeGapPrediction":
-        if data["case"] == "rational":
-            return ThreeGapPrediction(
-                n=data["n"], kind="rational", q=data["q"], length=data["length"]
-            )
-        return ThreeGapPrediction(
-            n=data["n"],
-            kind="generic",
-            lower=(data["lower"]["numerator"], data["lower"]["denominator"]),
-            upper=(data["upper"]["numerator"], data["upper"]["denominator"]),
-            counts=tuple(data["counts"]),
-            lengths=tuple(data["lengths"]),
-        )
-
 
 def _merged_clusters(pairs, eps: float) -> tuple[GapCluster, ...]:
     """Clusters of (length, count) pairs: zero counts dropped, lengths within
@@ -502,13 +475,11 @@ def dplus2_bound(pi: Sequence[int]) -> int:
     return d + 2
 
 
-def verify_dplus2(
-    T: Iet, N: int, keane_depth: Optional[int] = None
-) -> VerificationOutcome:
+def verify_dplus2(T: Iet, N: int) -> VerificationOutcome:
     """Check the distinct-gap-length count against the d+1 / d+2 bound and
-    the 3(d-1) bound.  Minimality is certified by the Keane check first;
-    an uncertified map yields a not-applicable outcome."""
-    depth = keane_depth if keane_depth is not None else max(N, 1000)
+    the 3(d-1) bound.  Minimality is certified first by the Keane check to
+    depth max(N, 1000); an uncertified map yields a not-applicable outcome."""
+    depth = max(N, 1000)
     keane = T.keane_check(depth=depth)
     details = {"n": N, "d": T.d, "keane_depth": depth}
     if not keane.satisfied:

@@ -307,14 +307,11 @@ def outdegree_identity_check(
     return outcome_pass("outdegree-identity", **details)
 
 
-def boshernitzan_bound_check(
-    T: Iet, N: int, keane_depth: Optional[int] = None
-) -> VerificationOutcome:
+def boshernitzan_bound_check(T: Iet, N: int) -> VerificationOutcome:
     """Distinct vertex weights <= 3(#E - #V) <= 3(d-1), for graphs without
-    distinct cycles built from Keane-certified maps; anything uncertified
-    downgrades to not-applicable."""
-    depth = keane_depth if keane_depth is not None else max(N, 1000)
-    keane = T.keane_check(depth=depth)
+    distinct cycles built from maps Keane-certified to depth max(N, 1000);
+    anything uncertified downgrades to not-applicable."""
+    keane = T.keane_check(depth=max(N, 1000))
     if not keane.satisfied:
         return outcome_not_applicable(
             "boshernitzan-bound", "Keane certificate failed", n=N, d=T.d,

@@ -486,32 +486,23 @@ def _has_connection(pi: Sequence[int]) -> bool:
     )
 
 
-def random_iet(d: int, rng, min_length: float = 1e-3) -> Iet:
-    """A random genuine d-IET: uniform lengths on the simplex (floored away
-    from zero) and a uniform irreducible permutation with no fake
-    breakpoints in either direction."""
+#: ``random_iet`` redraws lengths until every one is at least this
+_MIN_LENGTH = 1e-3
+
+
+def random_iet(d: int, rng: np.random.Generator) -> Iet:
+    """A random genuine d-IET: uniform lengths on the simplex (each at
+    least ``_MIN_LENGTH``) and a uniform irreducible permutation with no
+    fake breakpoints in either direction."""
     if d < 2:
         raise DomainError("random_iet needs d >= 2")
     while True:
-        lam = rng.dirichlet([1.0] * d) if hasattr(rng, "dirichlet") else None
-        if lam is None:  # pragma: no cover - plain random.Random fallback
-            raw = [-math.log(rng.random()) for _ in range(d)]
-            s = sum(raw)
-            lam = [v / s for v in raw]
-        if min(lam) >= min_length:
+        lam = rng.dirichlet([1.0] * d)
+        if min(lam) >= _MIN_LENGTH:
             break
     while True:
         perm = list(range(1, d + 1))
-        _shuffle(perm, rng)
+        rng.shuffle(perm)
         if is_irreducible(perm) and (d == 2 or not _has_connection(perm)):
             break
     return Iet.new(list(lam), tuple(perm), normalize=True)
-
-
-def _shuffle(seq, rng):
-    if hasattr(rng, "shuffle"):
-        rng.shuffle(seq)
-    else:  # pragma: no cover
-        import random
-
-        random.shuffle(seq)

@@ -189,8 +189,8 @@ class SurdExpr:
         return SurdExpr(terms=terms, source_kind=source_kind)
 
     @staticmethod
-    def from_rational(value: Fraction, source_kind: str = "rational") -> "SurdExpr":
-        return SurdExpr.from_terms([(Fraction(value), 1)], source_kind=source_kind)
+    def from_rational(value: Fraction) -> "SurdExpr":
+        return SurdExpr.from_terms([(Fraction(value), 1)], source_kind="rational")
 
     @property
     def is_rational(self) -> bool:
@@ -306,26 +306,6 @@ class SurdExpr:
             ],
             "decimal": rendered,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "SurdExpr":
-        kind = data.get("kind")
-        if kind == "rational":
-            return SurdExpr.from_rational(Fraction(data["numerator"], data["denominator"]))
-        if kind == "decimal":
-            return SurdExpr.from_rational(Fraction(data["text"]), source_kind="decimal")
-        if kind == "surd":
-            raw = [
-                (
-                    Fraction(t["coefficient_numerator"], t["coefficient_denominator"]),
-                    t["radicand"],
-                )
-                for t in data["terms"]
-            ]
-            return SurdExpr.from_terms(raw)
-        from .errors import ValidationError
-
-        raise ValidationError(f"unknown number kind {kind!r}")
 
 
 def decimal_str(value: Fraction, digits: int) -> str:

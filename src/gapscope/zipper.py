@@ -55,10 +55,6 @@ class ZipperedRectangles:
     def area(self) -> float:
         return math.fsum(w * h for w, h in zip(self.widths, self.heights))
 
-    @property
-    def k(self) -> int:
-        return len(self.widths)
-
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
@@ -69,15 +65,6 @@ class ZipperedRectangles:
             "case": self.case,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "ZipperedRectangles":
-        return ZipperedRectangles(
-            widths=tuple(data["widths"]),
-            heights=tuple(data["heights"]),
-            pi=tuple(data["pi"]),
-            case=data["case"],
-        )
-
 
 def zipper_torus(alpha: AlphaLike, N: int) -> ZipperedRectangles:
     """Width/height data over a horizontal segment of length N on the torus
@@ -86,9 +73,8 @@ def zipper_torus(alpha: AlphaLike, N: int) -> ZipperedRectangles:
         raise DomainError(f"N must be >= 1, got {N}")
     bracket = farey_neighbors(alpha, N)
     if bracket.is_exact:
+        # farey_neighbors refuses alpha outside (0, 1), so q >= 2
         a, q = bracket.exact.a, bracket.exact.q
-        if q < 2:
-            raise DomainError(f"rational rotation number {a}/{q} outside (0, 1)")
         n1 = mod_inverse(a, q)
         return ZipperedRectangles(
             widths=((q - n1) / N, n1 / N),

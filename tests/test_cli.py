@@ -3,25 +3,25 @@ import dataclasses
 import io
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gapscope import cli as cli_module
 from gapscope import gaps as gaps_module
 from gapscope.cli import _dumps, main
 from gapscope.gaps import (
-    GapReport,
-    ThreeGapPrediction,
     gap_report,
     sigma_recursion,
     three_gap_predict,
 )
+from gapscope.graphs import GapForest, GapGraph
 from gapscope.iet import Iet
 from gapscope.numerics import parse_surd
-from gapscope.distribution import DistributionCurve
-from gapscope.zipper import ZipperedRectangles
+from gapscope.zipper import zipper_torus
 
 
 @pytest.fixture
@@ -54,8 +54,7 @@ def test_gaps_golden_json(runner):
     assert data["kind"] == "gap_report"
     assert data["schema_version"] == 1
     assert [c["count"] for c in data["clusters"]] == [2, 6, 1]
-    report = GapReport.from_json(data)
-    assert report.num_points == 9
+    assert len(data["points"]) == len(data["sigma"]) == len(data["gaps"]) == 9
 
 
 def test_gaps_csv_matches_json(runner):
@@ -111,13 +110,15 @@ def test_predict_with_sigma(runner):
     assert data["case"] == "generic"
     assert data["counts"] == [6, 1, 2]
     assert data["sigma"] == [0, 3, 6, 2, 5, 8, 1, 4, 7]
-    ThreeGapPrediction.from_json(data)
+    pred = three_gap_predict(parse_surd("sqrt(1/2)"), 9).to_json()
+    assert {k: data[k] for k in pred} == pred
 
 
 def test_zipper_json_roundtrip(runner):
     data = run_json(runner, ["zipper", "--alpha", "sqrt(1/2)", "--n", "9"])
-    zr = ZipperedRectangles.from_json(data)
-    assert zr.case == "generic"
+    zr = zipper_torus(parse_surd("sqrt(1/2)"), 9).to_json()
+    assert {k: data[k] for k in zr} == zr
+    assert data["case"] == "generic"
 
 
 def test_limit_value(runner):
@@ -140,8 +141,7 @@ def test_dist_csv_columns(runner):
     assert [r["z"] for r in rows] == ["0.25", "0.5", "0.75"]
     assert all(r["kind"] == "exact" and r["N"] == "60" for r in rows)
     data = run_json(runner, ["dist", "--z-grid", "0.25:0.75:0.25", "--n", "60"])
-    curve = DistributionCurve.from_json(data)
-    assert [float(r["value"]) for r in rows] == list(curve.values)
+    assert [float(r["value"]) for r in rows] == [p["value"] for p in data["points"]]
 
 
 def test_dist_empirical_needs_iet(runner):
@@ -258,11 +258,88 @@ def test_unknown_flag_exits_two(runner):
         ["zipper", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
         ["verify", "three-gap", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
         ["verify", "zipper", "--alpha", "sqrt(1/2)", "--n", "9", "--precision", "80"],
+        ["dist", "--z", "0.5", "--n", "20", "--iet", "IET"],
+        ["dist", "--kind", "exact", "--z", "0.5", "--n", "20", "--grid", "3"],
+        ["dist", "--kind", "limit", "--z", "0.5", "--n", "7", "--range", "0.1,0.2",
+         "--iet", "missing.json", "--grid", "3"],
+        ["verify", "dist-convergence", "--tol", "0.5"],
+        ["graph", "--alpha", "sqrt(1/2)", "--n", "9", "--format", "csv"],
+        ["verify", "bosh", "--alpha", "sqrt(1/2)", "--n", "9", "--format", "csv"],
     ],
 )
 def test_tolerance_and_dead_precision_flags_refused(runner, iet_spec_file, args):
     args = [iet_spec_file if a == "IET" else a for a in args]
     assert runner.invoke(main, args).exit_code == 2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called, though its result is not used")
+
+
+@pytest.mark.parametrize("flag, value", [("--iet", "IET"), ("--grid", "3")])
+def test_dist_exact_names_the_empirical_flag_it_refuses(
+    runner, iet_spec_file, monkeypatch, flag, value
+):
+    monkeypatch.setattr(cli_module, "rotation_curve", _must_not_run)
+    value = iet_spec_file if value == "IET" else value
+    result = runner.invoke(main, ["dist", "--z", "0.5", "--n", "20", flag, value])
+    assert result.exit_code == 2
+    assert f"{flag} applies only to --kind empirical" in result.output
+
+
+def test_refused_format_is_refused_before_any_work(runner, monkeypatch):
+    monkeypatch.setattr(cli_module, "boshernitzan_bound_check", _must_not_run)
+    args = ["verify", "bosh", "--alpha", "sqrt(1/2)", "--n", "9", "--format", "csv"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "'csv' is not one of 'json', 'text'" in result.output
+
+
+@pytest.mark.parametrize("kind, cls", [("ggaps", GapGraph), ("fgaps", GapForest)])
+@pytest.mark.parametrize("fmt, unused", [("json", "to_edge_list"), ("text", "to_json")])
+def test_graph_builds_only_the_form_it_prints(runner, monkeypatch, kind, cls, fmt, unused):
+    args = ["graph", "--alpha", "sqrt(1/2)", "--n", "9", "--kind", kind, "--format", fmt]
+    plain = runner.invoke(main, args)
+    monkeypatch.setattr(cls, unused, _must_not_run)
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert (result.exit_code, result.output) == (0, plain.output)
+
+
+#: a small input on which each leaf command passes
+PASSING_ARGS = {
+    ("gaps",): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("predict",): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("zipper",): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("dist",): ["--z-grid", "0.25:0.75:0.25", "--n", "20"],
+    ("limit",): ["--z", "0.5"],
+    ("graph",): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("verify", "three-gap"): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("verify", "dplus2"): ["--iet", "IET", "--n", "8"],
+    ("verify", "zipper"): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("verify", "bosh"): ["--alpha", "sqrt(1/2)", "--n", "9"],
+    ("verify", "forest"): ["--iet", "IET", "--n", "8"],
+    ("verify", "dist-convergence"): ["--n", "50", "--n", "200"],
+}
+
+
+def _leaf_commands(cmd, path=()):
+    if isinstance(cmd, click.Group):
+        for name, sub in cmd.commands.items():
+            yield from _leaf_commands(sub, path + (name,))
+    else:
+        yield path, cmd
+
+
+def test_every_offered_format_works(runner, iet_spec_file):
+    leaves = dict(_leaf_commands(main))
+    assert set(leaves) == set(PASSING_ARGS)
+    for path, cmd in leaves.items():
+        (fmt_param,) = [p for p in cmd.params if p.name == "fmt"]
+        args = [iet_spec_file if a == "IET" else a for a in PASSING_ARGS[path]]
+        for fmt in fmt_param.type.choices:
+            result = runner.invoke(main, [*path, *args, "--format", fmt])
+            assert result.exit_code == 0, (path, fmt, result.output)
+            assert result.output.strip(), (path, fmt)
 
 
 @pytest.mark.parametrize(

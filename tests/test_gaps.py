@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from gapscope import gaps as gaps_module
 from gapscope.errors import DomainError
 from gapscope.gaps import (
     GapCluster,
-    GapReport,
-    ThreeGapPrediction,
     cluster_lengths,
     default_cluster_eps,
     dplus2_bound,
@@ -150,8 +149,12 @@ def test_gap_report_matches_prediction_at_large_n(alpha, N):
 
 def test_gap_report_json_roundtrip(demo_iet):
     rep = gap_report(demo_iet, 8)
-    back = GapReport.from_json(rep.to_json())
-    assert back == rep
+    data = json.loads(json.dumps(rep.to_json()))
+    assert (data["n"], data["eps"], data["deduplicated"]) == (rep.n, rep.eps, rep.deduplicated)
+    assert (data["points"], data["sigma"], data["gaps"]) == (
+        rep.points.tolist(), rep.sigma.tolist(), rep.gaps.tolist()
+    )
+    assert [GapCluster(**c) for c in data["clusters"]] == list(rep.clusters)
 
 
 @pytest.mark.parametrize(
@@ -160,12 +163,11 @@ def test_gap_report_json_roundtrip(demo_iet):
 def test_gap_report_fields_are_read_only_arrays(alpha, N, raw):
     rep = gap_report(Iet.rotation(alpha), N, keep_duplicates=raw)
     data = rep.to_json()
-    for r in (rep, GapReport.from_json(data)):
-        for field, dtype in (("points", np.float64), ("sigma", np.int64), ("gaps", np.float64)):
-            arr = getattr(r, field)
-            assert isinstance(arr, np.ndarray) and arr.dtype == dtype
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    for field, dtype in (("points", np.float64), ("sigma", np.int64), ("gaps", np.float64)):
+        arr = getattr(rep, field)
+        assert isinstance(arr, np.ndarray) and arr.dtype == dtype
+        with pytest.raises(ValueError):
+            arr[0] = 0
     assert all(type(v) is float for v in data["points"] + data["gaps"])
     assert all(type(v) is int for v in data["sigma"])
 
@@ -332,8 +334,14 @@ def test_predict_zero_count_on_first_arc():
 def test_prediction_json_roundtrip():
     for alpha, N in [("sqrt(1/2)", 9), (Fraction(1, 3), 7)]:
         p = three_gap_predict(alpha, N)
-        back = ThreeGapPrediction.from_json(p.to_json())
-        assert back == p
+        data = json.loads(json.dumps(p.to_json()))
+        assert (data["n"], data["case"]) == (p.n, p.kind)
+        if p.is_rational:
+            assert (data["q"], data["length"]) == (p.q, p.length)
+        else:
+            assert (data["lower"]["numerator"], data["lower"]["denominator"]) == p.lower
+            assert (data["upper"]["numerator"], data["upper"]["denominator"]) == p.upper
+            assert (tuple(data["counts"]), tuple(data["lengths"])) == (p.counts, p.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +460,11 @@ def test_dplus2_random_sweep(rng):
         done = 0
         while done < 10:
             T = random_iet(d, rng)
-            if not T.keane_check(depth=500).satisfied:
-                continue
             N = int(rng.integers(20, 1000))
-            out = verify_dplus2(T, N, keane_depth=500)
+            # the depth verify_dplus2 certifies to, so every draw applies
+            if not T.keane_check(depth=max(N, 1000)).satisfied:
+                continue
+            out = verify_dplus2(T, N)
             assert out.passed, out.to_json()
             done += 1
 
